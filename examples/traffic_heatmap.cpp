@@ -7,7 +7,7 @@
 // almost uniformly; the tree scan funnels through hub processors — the
 // Theta(log n) energy gap of Section IV-C made visible.
 #include "core/scm.hpp"
-#include "spatial/trace.hpp"
+#include "spatial/congestion.hpp"
 #include "util/profile_session.hpp"
 
 #include <cstdio>

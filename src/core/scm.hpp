@@ -50,6 +50,7 @@
 #include "solvers/solvers.hpp"         // IWYU pragma: export
 #include "sort/histogram.hpp"          // IWYU pragma: export
 #include "sort/sort.hpp"               // IWYU pragma: export
+#include "spatial/congestion.hpp"      // IWYU pragma: export
 #include "spatial/grid_array.hpp"      // IWYU pragma: export
 #include "spatial/machine.hpp"         // IWYU pragma: export
 #include "spatial/profile.hpp"         // IWYU pragma: export

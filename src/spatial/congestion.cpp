@@ -3,19 +3,101 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdlib>
+#include <functional>
+#include <memory_resource>
 #include <sstream>
 
 namespace scm {
 
 namespace {
 
-/// Direction codes of LinkKey::dir; dimension-ordered routing only ever
-/// emits row steps (up/down) before column steps (left/right).
-enum : std::uint8_t { kUp = 0, kDown = 1, kLeft = 2, kRight = 3 };
-
 std::string phase_label(PhaseId id) {
   return id == kNoPhase ? std::string("<top>")
                         : PhaseRegistry::instance().name(id);
+}
+
+/// Report order of cells: by row, then column.
+bool coord_before(Coord a, Coord b) {
+  return a.row != b.row ? a.row < b.row : a.col < b.col;
+}
+
+/// Nearest-rank p-th percentile (p clamped to [0, 100]): the smallest v
+/// such that at least ceil(p% * n) of the n `values` are <= v; 0 when
+/// there are none.
+index_t nearest_rank(std::vector<index_t> values, double p) {
+  if (values.empty()) return 0;
+  p = std::clamp(p, 0.0, 100.0);
+  const auto rank = std::max<std::size_t>(
+      1, static_cast<std::size_t>(
+             std::ceil(p / 100.0 * static_cast<double>(values.size()))));
+  const auto nth = values.begin() + static_cast<std::ptrdiff_t>(rank - 1);
+  std::nth_element(values.begin(), nth, values.end());
+  return *nth;
+}
+
+/// The `k` largest counts of `all`, descending; `before` orders the keys
+/// of equal counts. O(n log k) via partial sort.
+template <typename Key, typename Before>
+std::vector<std::pair<Key, index_t>> top_k(
+    std::vector<std::pair<Key, index_t>> all, std::size_t k, Before before) {
+  k = std::min(k, all.size());
+  std::partial_sort(all.begin(), all.begin() + static_cast<std::ptrdiff_t>(k),
+                    all.end(), [&](const auto& a, const auto& b) {
+                      if (a.second != b.second) return a.second > b.second;
+                      return before(a.first, b.first);
+                    });
+  all.resize(k);
+  return all;
+}
+
+/// ASCII ramp heatmap of per-cell `values` over their bounding box,
+/// downsampled to at most `max_side` (at least 1) characters per side. A
+/// cell may appear more than once; each character shows the maximum of
+/// its bucket, and levels " .:-=+*#%@" scale linearly with the peak.
+/// `title` and `measure` fill the header line.
+std::string ramp_heatmap(const char* title, const char* measure,
+                         const std::vector<std::pair<Coord, index_t>>& values,
+                         index_t max_side) {
+  if (values.empty()) return "(no traffic)\n";
+  static const char kLevels[] = " .:-=+*#%@";
+  Coord lo = values.front().first;
+  Coord hi = lo;
+  for (const auto& [cell, v] : values) {
+    lo = Coord{std::min(lo.row, cell.row), std::min(lo.col, cell.col)};
+    hi = Coord{std::max(hi.row, cell.row), std::max(hi.col, cell.col)};
+  }
+  const index_t rows = hi.row - lo.row + 1;
+  const index_t cols = hi.col - lo.col + 1;
+  const index_t side = std::max<index_t>(1, max_side);
+  const index_t bucket =
+      std::max<index_t>(1, (std::max(rows, cols) + side - 1) / side);
+  const index_t out_rows = (rows + bucket - 1) / bucket;
+  const index_t out_cols = (cols + bucket - 1) / bucket;
+
+  std::vector<index_t> grid(static_cast<size_t>(out_rows * out_cols), 0);
+  for (const auto& [cell, v] : values) {
+    const index_t r = (cell.row - lo.row) / bucket;
+    const index_t c = (cell.col - lo.col) / bucket;
+    index_t& slot = grid[static_cast<size_t>(r * out_cols + c)];
+    slot = std::max(slot, v);
+  }
+  index_t peak = 1;
+  for (index_t v : grid) peak = std::max(peak, v);
+
+  std::ostringstream os;
+  os << title << " heatmap (" << rows << "x" << cols << " cells" << measure
+     << ", bucket " << bucket << "x" << bucket << ", peak " << peak << ")\n";
+  for (index_t r = 0; r < out_rows; ++r) {
+    for (index_t c = 0; c < out_cols; ++c) {
+      const index_t v = grid[static_cast<size_t>(r * out_cols + c)];
+      const auto idx = static_cast<std::size_t>(
+          (static_cast<double>(v) / static_cast<double>(peak)) * 9.0);
+      os << kLevels[std::min<std::size_t>(idx, 9)];
+    }
+    os << "\n";
+  }
+  return os.str();
 }
 
 }  // namespace
@@ -27,6 +109,18 @@ std::string Link::str() const {
   return os.str();
 }
 
+std::array<CongestionMap::Run, 2> CongestionMap::route(Coord from, Coord to) {
+  // Links are keyed by their from-cell: going down, the vertical run's
+  // from-cells are rows [from.row, to.row - 1]; going up, rows
+  // [to.row + 1, from.row]. The horizontal run at to.row likewise.
+  const bool down = to.row > from.row;
+  const bool right = to.col > from.col;
+  return {Run{down ? from.row : to.row + 1, from.col,
+              std::abs(to.row - from.row), down ? kDown : kUp},
+          Run{to.row, right ? from.col : to.col + 1,
+              std::abs(to.col - from.col), right ? kRight : kLeft}};
+}
+
 Link CongestionMap::link_of(LinkKey key) {
   Coord from{key.row, key.col};
   Coord to = from;
@@ -34,7 +128,7 @@ Link CongestionMap::link_of(LinkKey key) {
     case kUp: to.row -= 1; break;
     case kDown: to.row += 1; break;
     case kLeft: to.col -= 1; break;
-    default: to.col += 1; break;
+    case kRight: to.col += 1; break;
   }
   return Link{from, to};
 }
@@ -48,13 +142,12 @@ CongestionMap::Bucket& CongestionMap::current_bucket() {
   return *cached_bucket_;
 }
 
-void CongestionMap::bump(LinkKey key) {
+void CongestionMap::bump(LinkKey key, Bucket& b) {
   index_t& slot = load_[key];
   ++slot;
   ++total_;
   max_link_load_ = std::max(max_link_load_, slot);
 
-  Bucket& b = current_bucket();
   index_t& bslot = b.load[key];
   ++bslot;
   ++b.occupancy;
@@ -66,23 +159,12 @@ void CongestionMap::bump(LinkKey key) {
   }
 }
 
-void CongestionMap::route(Coord from, Coord to) {
-  // Dimension-ordered routing, matching LoadMap: rows first, then
-  // columns. One directed link per unit step, so a message of Manhattan
-  // distance d contributes exactly d units of occupancy.
-  Coord cur = from;
-  const std::uint8_t row_dir = to.row > cur.row ? kDown : kUp;
-  const index_t row_step = to.row > cur.row ? 1 : -1;
-  while (cur.row != to.row) {
-    bump(LinkKey{cur.row, cur.col, row_dir});
-    cur.row += row_step;
-  }
-  const std::uint8_t col_dir = to.col > cur.col ? kRight : kLeft;
-  const index_t col_step = to.col > cur.col ? 1 : -1;
-  while (cur.col != to.col) {
-    bump(LinkKey{cur.row, cur.col, col_dir});
-    cur.col += col_step;
-  }
+void CongestionMap::add(const Run& run) {
+  if (run.count == 0) return;
+  Bucket& b = current_bucket();
+  LinkKey key{run.row, run.col, run.dir};
+  index_t& step = run.vertical() ? key.row : key.col;
+  for (index_t i = 0; i < run.count; ++i, ++step) bump(key, b);
 }
 
 void CongestionMap::on_message(Coord from, Coord to, index_t distance) {
@@ -90,7 +172,7 @@ void CongestionMap::on_message(Coord from, Coord to, index_t distance) {
   (void)distance;
   ++messages_;
   ++ticks_;
-  route(from, to);
+  for (const Run& run : route(from, to)) add(run);
 }
 
 void CongestionMap::on_send_bulk(std::span<const MessageEvent> batch) {
@@ -98,7 +180,7 @@ void CongestionMap::on_send_bulk(std::span<const MessageEvent> batch) {
     if (e.distance == 0) continue;
     ++messages_;
     ++ticks_;
-    route(e.from, e.to);
+    for (const Run& run : route(e.from, e.to)) add(run);
   }
 }
 
@@ -145,7 +227,7 @@ void CongestionMap::clear() {
 }
 
 index_t CongestionMap::occupancy(Link link) const {
-  std::uint8_t dir = 0;
+  Dir dir = kUp;
   const index_t dr = link.to.row - link.from.row;
   const index_t dc = link.to.col - link.from.col;
   if (dr == -1 && dc == 0) {
@@ -170,30 +252,14 @@ std::vector<std::pair<Link, index_t>> CongestionMap::hotspot_links(
   for (const auto& [key, count] : load_) {
     all.push_back({link_of(key), count});
   }
-  k = std::min(k, all.size());
-  std::partial_sort(all.begin(), all.begin() + static_cast<std::ptrdiff_t>(k),
-                    all.end(), [](const auto& a, const auto& b) {
-                      if (a.second != b.second) return a.second > b.second;
-                      return a.first < b.first;
-                    });
-  all.resize(k);
-  return all;
+  return top_k(std::move(all), k, std::less<Link>{});
 }
 
 index_t CongestionMap::percentile(double p) const {
-  if (load_.empty()) return 0;
   std::vector<index_t> loads;
   loads.reserve(load_.size());
   for (const auto& [key, count] : load_) loads.push_back(count);
-  p = std::clamp(p, 0.0, 100.0);
-  // Nearest-rank: the smallest occupancy l such that at least
-  // ceil(p% * n) touched links carry <= l.
-  const auto rank = std::max<std::size_t>(
-      1, static_cast<std::size_t>(
-             std::ceil(p / 100.0 * static_cast<double>(loads.size()))));
-  auto nth = loads.begin() + static_cast<std::ptrdiff_t>(rank - 1);
-  std::nth_element(loads.begin(), nth, loads.end());
-  return *nth;
+  return nearest_rank(std::move(loads), p);
 }
 
 std::vector<std::pair<Link, index_t>> CongestionMap::sorted_links() const {
@@ -271,58 +337,14 @@ std::string CongestionMap::ascii_report(std::size_t hotspots) const {
 }
 
 std::string CongestionMap::heatmap(index_t max_side) const {
-  if (load_.empty()) return "(no traffic)\n";
-  static const char kLevels[] = " .:-=+*#%@";
-  // Bounding box of touched link source cells, derived here rather than
-  // maintained per hop — exporting is cold, bump() is the hot path.
-  index_t min_row = 0;
-  index_t max_row = -1;
-  index_t min_col = 0;
-  index_t max_col = -1;
-  for (const auto& [key, count] : load_) {
-    if (max_row < min_row) {
-      min_row = max_row = key.row;
-      min_col = max_col = key.col;
-    } else {
-      min_row = std::min(min_row, key.row);
-      max_row = std::max(max_row, key.row);
-      min_col = std::min(min_col, key.col);
-      max_col = std::max(max_col, key.col);
-    }
-  }
   // Per-cell pressure: the maximum occupancy over the directed links
-  // leaving the cell, downsampled like LoadMap::heatmap.
-  const index_t rows = max_row - min_row + 1;
-  const index_t cols = max_col - min_col + 1;
-  const index_t bucket =
-      std::max<index_t>(1, (std::max(rows, cols) + max_side - 1) / max_side);
-  const index_t out_rows = (rows + bucket - 1) / bucket;
-  const index_t out_cols = (cols + bucket - 1) / bucket;
-
-  std::vector<index_t> grid(static_cast<size_t>(out_rows * out_cols), 0);
+  // leaving the cell.
+  std::vector<std::pair<Coord, index_t>> leaving;
+  leaving.reserve(load_.size());
   for (const auto& [key, count] : load_) {
-    const index_t r = (key.row - min_row) / bucket;
-    const index_t c = (key.col - min_col) / bucket;
-    index_t& slot = grid[static_cast<size_t>(r * out_cols + c)];
-    slot = std::max(slot, count);
+    leaving.push_back({Coord{key.row, key.col}, count});
   }
-  index_t peak = 1;
-  for (index_t v : grid) peak = std::max(peak, v);
-
-  std::ostringstream os;
-  os << "link heatmap (" << rows << "x" << cols
-     << " cells, max outgoing-link load, bucket " << bucket << "x" << bucket
-     << ", peak " << peak << ")\n";
-  for (index_t r = 0; r < out_rows; ++r) {
-    for (index_t c = 0; c < out_cols; ++c) {
-      const index_t v = grid[static_cast<size_t>(r * out_cols + c)];
-      const auto idx = static_cast<std::size_t>(
-          (static_cast<double>(v) / static_cast<double>(peak)) * 9.0);
-      os << kLevels[std::min<std::size_t>(idx, 9)];
-    }
-    os << "\n";
-  }
-  return os.str();
+  return ramp_heatmap("link", ", max outgoing-link load", leaving, max_side);
 }
 
 std::string CongestionMap::chrome_counter_json() const {
@@ -343,6 +365,100 @@ std::string CongestionMap::chrome_counter_json() const {
   emit(CounterSample{ticks_, max_link_load_, congested_clock_});
   os << "\n]}\n";
   return os.str();
+}
+
+// ---------------------------------------------------------------------------
+// LoadMap
+
+void LoadMap::on_message(Coord from, Coord to, index_t distance) {
+  ++sent_[from];
+  links_.on_message(from, to, distance);
+}
+
+void LoadMap::on_send_bulk(std::span<const MessageEvent> batch) {
+  for (const MessageEvent& e : batch) {
+    if (e.distance != 0) ++sent_[e.from];
+  }
+  links_.on_send_bulk(batch);
+}
+
+void LoadMap::on_phase_enter(PhaseId id) { links_.on_phase_enter(id); }
+
+void LoadMap::on_phase_exit(PhaseId id) { links_.on_phase_exit(id); }
+
+index_t LoadMap::load_at(Coord c) const {
+  const auto it = sent_.find(c);
+  index_t load = it == sent_.end() ? 0 : it->second;
+  // Traversals into c arrive over its four inbound links.
+  for (const Coord from : {Coord{c.row - 1, c.col}, Coord{c.row + 1, c.col},
+                           Coord{c.row, c.col - 1}, Coord{c.row, c.col + 1}}) {
+    load += links_.occupancy(Link{from, c});
+  }
+  return load;
+}
+
+LoadMap::Cells LoadMap::cells() const {
+  // load(c) = messages sent from c + link traversals into c. The
+  // temporary map's nodes come from one pool released whole, so
+  // allocating them does not dominate a report export.
+  std::pmr::monotonic_buffer_resource pool;
+  std::pmr::unordered_map<Coord, index_t, CoordHash> load(&pool);
+  load.reserve(sent_.size());
+  load.insert(sent_.begin(), sent_.end());
+  for (const auto& [key, count] : links_.load_) {
+    load[CongestionMap::link_of(key).to] += count;
+  }
+  return Cells({load.begin(), load.end()});
+}
+
+void LoadMap::clear() {
+  links_.clear();
+  sent_.clear();
+}
+
+index_t LoadMap::Cells::max_load() const {
+  index_t peak = 0;
+  for (const auto& [cell, load] : loads_) peak = std::max(peak, load);
+  return peak;
+}
+
+std::vector<std::pair<Coord, index_t>> LoadMap::Cells::hotspots(
+    std::size_t k) const {
+  return top_k(loads_, k, coord_before);
+}
+
+index_t LoadMap::Cells::percentile(double p) const {
+  std::vector<index_t> loads;
+  loads.reserve(loads_.size());
+  for (const auto& [cell, load] : loads_) loads.push_back(load);
+  return nearest_rank(std::move(loads), p);
+}
+
+double LoadMap::Cells::imbalance() const {
+  if (loads_.empty()) return 0.0;
+  // Summed in ascending load order, so the result does not depend on the
+  // order the cells were derived in.
+  std::vector<index_t> loads;
+  loads.reserve(loads_.size());
+  index_t total = 0;
+  for (const auto& [cell, load] : loads_) {
+    loads.push_back(load);
+    total += load;
+  }
+  std::sort(loads.begin(), loads.end());
+  const double mean =
+      static_cast<double>(total) / static_cast<double>(loads.size());
+  double var = 0.0;
+  for (const index_t load : loads) {
+    const double d = static_cast<double>(load) - mean;
+    var += d * d;
+  }
+  var /= static_cast<double>(loads.size());
+  return mean == 0.0 ? 0.0 : std::sqrt(var) / mean;
+}
+
+std::string LoadMap::Cells::heatmap(index_t max_side) const {
+  return ramp_heatmap("load", "", loads_, max_side);
 }
 
 }  // namespace scm

@@ -1,17 +1,18 @@
-// Link-level congestion observability for the Spatial Computer Model.
+// Link-level congestion and per-processor load for the Spatial Computer
+// Model.
 //
 // The SCM prices a message only by its Manhattan distance: bandwidth is
 // modelled as unbounded and no two messages ever contend. Real spatial
 // hardware (the paper's WSE target included) stalls on *link* contention —
 // mapping-evaluation work (Sethi; Wu & Liu) shows that placement-dependent
-// congestion, not raw distance, dominates real mapping quality. The
-// LoadMap sink already counts per-processor traffic; this module refines
-// that to the network's actual unit of contention, the directed link
-// between adjacent processors.
+// congestion, not raw distance, dominates real mapping quality. This
+// module observes traffic at the network's actual unit of contention, the
+// directed link between adjacent processors.
 //
-// The CongestionMap TraceSink decomposes every charged message into unit
-// hops under the same deterministic dimension-ordered routing LoadMap uses
-// (rows first, then columns) and tracks:
+// The CongestionMap TraceSink decomposes every charged message under
+// deterministic dimension-ordered routing into at most two straight runs
+// of unit links — the vertical run at the source column, then the
+// horizontal run at the destination row — and tracks:
 //
 //   * per-link occupancy totals — a message of Manhattan distance d
 //     traverses exactly d links, so the summed occupancy over all links
@@ -33,18 +34,25 @@
 // congested clock is a fourth, strictly separate axis for comparing
 // algorithms on congestion robustness (docs/MODEL.md).
 //
-// Exporters: an ASCII link heatmap and summary report, a Chrome
+// The LoadMap sink shows the same traffic per processor. It walks no
+// route of its own: load(c) = messages sent from c + link traversals into
+// c, so it keeps a CongestionMap plus a per-cell count of sent messages
+// and derives every per-cell query from the two.
+//
+// Exporters: ASCII link and load heatmaps and a summary report, a Chrome
 // trace_event counter track (standalone here; merged into the phase trace
-// when embedded in the Profiler), and the "congestion" section of the
-// versioned JSON run report (schema v3, docs/OBSERVABILITY.md). Wire-up
-// for benches/examples is util::ProfileSession's --congestion /
-// --congestion-heatmap flags.
+// when embedded in the Profiler), and the "load" and "congestion"
+// sections of the versioned JSON run report (schema v3,
+// docs/OBSERVABILITY.md). Wire-up for benches/examples is
+// util::ProfileSession's --congestion / --congestion-heatmap /
+// --load-heatmap flags.
 #pragma once
 
 #include "spatial/geometry.hpp"
 #include "spatial/phase.hpp"
 #include "spatial/trace.hpp"
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -53,6 +61,10 @@
 #include <vector>
 
 namespace scm {
+
+namespace parallel {
+class ShardedCongestionMap;
+}  // namespace parallel
 
 /// One directed unit link of the grid: the wire from `from` to the
 /// adjacent processor `to` (Manhattan distance exactly 1). Dimension-
@@ -79,10 +91,15 @@ struct Link {
 /// Accumulates per-link occupancy by routing every charged message along
 /// the dimension-ordered Manhattan path (rows first, then columns), with
 /// per-phase attribution and an opt-in congested-clock diagnostic.
-/// Tracking costs O(distance) per message — the same budget as LoadMap —
-/// so it is opt-in observability, never attached by default.
+/// Tracking costs O(distance) per message, so it is opt-in observability,
+/// never attached by default.
 class CongestionMap final : public TraceSink {
  public:
+  CongestionMap() = default;
+  /// Not copyable: the sink caches a pointer into its own bucket map.
+  CongestionMap(const CongestionMap&) = delete;
+  CongestionMap& operator=(const CongestionMap&) = delete;
+
   /// One sample of the Chrome counter track, recorded at every phase
   /// transition (and once at export): the running global peak link load
   /// and congested clock at that virtual tick (ticks count charged
@@ -182,8 +199,8 @@ class CongestionMap final : public TraceSink {
 
   /// ASCII heatmap of per-cell link pressure over the touched bounding
   /// box: each cell shows the maximum occupancy over the directed links
-  /// *leaving* it, downsampled to `max_side` characters per side with the
-  /// LoadMap level ramp " .:-=+*#%@".
+  /// *leaving* it, downsampled to at most `max_side` characters per side
+  /// (values below 1 count as 1) with the level ramp " .:-=+*#%@".
   [[nodiscard]] std::string heatmap(index_t max_side = 32) const;
 
   /// Standalone Chrome trace_event JSON: one "C" (counter) event per
@@ -198,18 +215,40 @@ class CongestionMap final : public TraceSink {
   void clear();
 
  private:
+  friend class LoadMap;
+  friend class parallel::ShardedCongestionMap;
+
+  /// Direction of a directed unit link.
+  enum Dir : std::uint8_t { kUp, kDown, kLeft, kRight };
+
+  /// A straight run of `count` directed unit links of one direction.
+  /// Links are keyed by their from-cell; the run's from-cells start at
+  /// (row, col) and advance by one along the run's axis (rows for up and
+  /// down, columns for left and right) whatever the direction of travel.
+  struct Run {
+    index_t row{0};
+    index_t col{0};
+    index_t count{0};
+    Dir dir{kUp};
+
+    [[nodiscard]] bool vertical() const { return dir == kUp || dir == kDown; }
+  };
+
+  /// Dimension-ordered routing of one message from `from` to `to`: the
+  /// vertical run at from.col, then the horizontal run at to.row (either
+  /// may be empty). The library's only route decomposition.
+  [[nodiscard]] static std::array<Run, 2> route(Coord from, Coord to);
+
   struct LinkKey {
     index_t row{0};
     index_t col{0};
-    std::uint8_t dir{0};  ///< 0 up, 1 down, 2 left, 3 right
+    Dir dir{kUp};
 
     friend bool operator==(const LinkKey&, const LinkKey&) = default;
   };
   struct LinkKeyHash {
     std::size_t operator()(const LinkKey& k) const {
-      const auto mix = (static_cast<std::uint64_t>(k.row) << 32) ^
-                       static_cast<std::uint64_t>(k.col & 0xffffffff);
-      return std::hash<std::uint64_t>{}(mix * 4 + k.dir);
+      return std::hash<std::uint64_t>{}(coord_key(k.row, k.col) * 4 + k.dir);
     }
   };
   using LinkLoad = std::unordered_map<LinkKey, index_t, LinkKeyHash>;
@@ -232,8 +271,11 @@ class CongestionMap final : public TraceSink {
   /// transition instead of one per unit hop.
   Bucket& current_bucket();
 
-  void route(Coord from, Coord to);
-  void bump(LinkKey key);
+  /// Adds one unit of occupancy to every link of `run`, attributed to the
+  /// current bucket. Counts no message: a run may be one piece of a
+  /// message (the sharded map splits runs at tile bands).
+  void add(const Run& run);
+  void bump(LinkKey key, Bucket& b);
   void record_sample();
 
   static Link link_of(LinkKey key);
@@ -252,6 +294,106 @@ class CongestionMap final : public TraceSink {
   /// Mirror of the machine's phase stack (survives clear()/on_reset).
   std::vector<PhaseId> stack_;
   std::vector<CounterSample> samples_;
+};
+
+/// Accumulates per-processor traffic under the dimension-ordered routing
+/// of CongestionMap, counted endpoints included: one unit at a message's
+/// source and one at every processor a unit hop enters. A message of
+/// distance d thus loads d + 1 processors, and
+///
+///   load(c) = messages sent from c + link traversals into c.
+///
+/// The sink keeps an embedded CongestionMap and a per-cell count of sent
+/// messages, and derives every per-cell query from the two; it updates no
+/// per-cell counter per hop. A zero-length message delivered directly
+/// counts one unit at its cell; zero-length bulk entries are skipped.
+/// on_reset is ignored, so the map accumulates across Machine::reset.
+class LoadMap final : public TraceSink {
+ public:
+  /// Every touched processor with its load, derived from the link map in
+  /// one pass. Each per-cell query of LoadMap derives one; a caller
+  /// asking several about one run (the Profiler's report section) derives
+  /// it once with cells() and queries it.
+  class Cells {
+   public:
+    /// Largest per-processor load (the congestion bottleneck).
+    [[nodiscard]] index_t max_load() const;
+
+    /// The `k` most-loaded processors, descending (ties broken by
+    /// coordinate). O(n log k) via partial sort — cheap for the small k a
+    /// report shows even when millions of processors saw traffic.
+    [[nodiscard]] std::vector<std::pair<Coord, index_t>> hotspots(
+        std::size_t k) const;
+
+    /// Nearest-rank p-th percentile (p in [0, 100]) of the load over the
+    /// touched processors; 0 when no traffic was recorded. p = 100 is
+    /// max_load(); report summaries use p50/p95/p99.
+    [[nodiscard]] index_t percentile(double p) const;
+
+    /// Coefficient of variation of the load over the touched processors —
+    /// 0 means perfectly balanced traffic.
+    [[nodiscard]] double imbalance() const;
+
+    /// Renders an ASCII heatmap of the touched bounding box, downsampled
+    /// to at most `max_side` characters per side (values below 1 count as
+    /// 1). Levels " .:-=+*#%@" scale linearly with the bucket's maximum
+    /// load.
+    [[nodiscard]] std::string heatmap(index_t max_side = 32) const;
+
+   private:
+    friend class LoadMap;
+    explicit Cells(std::vector<std::pair<Coord, index_t>> loads)
+        : loads_(std::move(loads)) {}
+
+    std::vector<std::pair<Coord, index_t>> loads_;  ///< in no set order
+  };
+
+  void on_message(Coord from, Coord to, index_t distance) override;
+
+  /// Batched routing: one virtual dispatch per batch instead of two per
+  /// message; per-processor counts are identical to the replayed stream.
+  void on_send_bulk(std::span<const MessageEvent> batch) override;
+
+  /// Phase transitions reach the link map, so its per-phase buckets are
+  /// those of a CongestionMap attached beside this sink.
+  void on_phase_enter(PhaseId id) override;
+  void on_phase_exit(PhaseId id) override;
+
+  /// Traffic units that passed through processor `c`.
+  [[nodiscard]] index_t load_at(Coord c) const;
+
+  /// Total traffic (= sum of per-processor loads).
+  [[nodiscard]] index_t total_load() const {
+    return links_.messages() + links_.total_occupancy();
+  }
+
+  /// Number of messages observed.
+  [[nodiscard]] index_t messages() const { return links_.messages(); }
+
+  /// The per-cell view every query below is answered from.
+  [[nodiscard]] Cells cells() const;
+
+  [[nodiscard]] index_t max_load() const { return cells().max_load(); }
+  [[nodiscard]] std::vector<std::pair<Coord, index_t>> hotspots(
+      std::size_t k) const {
+    return cells().hotspots(k);
+  }
+  [[nodiscard]] index_t percentile(double p) const {
+    return cells().percentile(p);
+  }
+  [[nodiscard]] double imbalance() const { return cells().imbalance(); }
+  [[nodiscard]] std::string heatmap(index_t max_side = 32) const {
+    return cells().heatmap(max_side);
+  }
+
+  /// The link map the per-cell view is derived from.
+  [[nodiscard]] const CongestionMap& links() const { return links_; }
+
+  void clear();
+
+ private:
+  CongestionMap links_;
+  std::unordered_map<Coord, index_t, CoordHash> sent_;
 };
 
 }  // namespace scm

@@ -7,8 +7,10 @@
 // cost accounting in the library flows through these types.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <iosfwd>
 #include <string>
 
@@ -26,6 +28,22 @@ struct Coord {
   index_t col{0};
 
   friend bool operator==(const Coord&, const Coord&) = default;
+};
+
+/// Packs a grid position into one 64-bit key: the low 32 bits of `row`
+/// above the low 32 bits of `col`. Injective for coordinates in
+/// [-2^31, 2^31), far beyond any simulated grid. The one coordinate key of
+/// the library: hash maps over cells and links, and the tile-ownership map.
+[[nodiscard]] constexpr std::uint64_t coord_key(index_t row, index_t col) {
+  return static_cast<std::uint64_t>(static_cast<std::uint32_t>(row)) << 32 |
+         static_cast<std::uint32_t>(col);
+}
+
+/// Hash of a processor coordinate for unordered containers.
+struct CoordHash {
+  std::size_t operator()(Coord c) const {
+    return std::hash<std::uint64_t>{}(coord_key(c.row, c.col));
+  }
 };
 
 /// Manhattan (L1) distance between two processors: the cost of sending one

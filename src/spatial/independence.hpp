@@ -183,14 +183,6 @@ class IndependenceChecker final : public TraceSink {
   [[nodiscard]] static bool strict_model_default();
 
  private:
-  struct CoordHash {
-    std::size_t operator()(const Coord& c) const {
-      return std::hash<std::uint64_t>{}(
-          (static_cast<std::uint64_t>(c.row) << 32) ^
-          static_cast<std::uint64_t>(c.col & 0xffffffff));
-    }
-  };
-
   void record(IndependenceViolationKind kind, Coord at, std::string detail);
   void ring_push(const MessageEvent& e);
   void new_epoch();

@@ -14,14 +14,6 @@ namespace scm::parallel {
 
 namespace {
 
-/// Direction codes, identical to CongestionMap's (congestion.cpp).
-enum : std::uint8_t { kUp = 0, kDown = 1, kLeft = 2, kRight = 3 };
-
-std::uint64_t pack_tile(TileCoord t) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(t.row)) << 32) |
-         static_cast<std::uint64_t>(static_cast<std::uint32_t>(t.col));
-}
-
 index_t pow2_at_least(index_t v) {
   return ceil_pow2(std::max<index_t>(1, v));
 }
@@ -174,7 +166,7 @@ bool Engine::charge_send_bulk(std::span<MessageEvent> batch,
         }
         if (guard_on) {
           const TileCoord t = tiling_.tile_of(e.to);
-          const std::uint64_t key = pack_tile(t);
+          const std::uint64_t key = coord_key(t.row, t.col);
           if (key != cached_key || cached_tile == nullptr) {
             GuardTile& gt = gmap[key];
             if (gt.stamp.empty()) {
@@ -294,97 +286,42 @@ ShardedCongestionMap::ShardedCongestionMap(const Config& cfg) {
   const Config norm = normalized(cfg);
   tiling_ = Tiling(norm.tile_rows, norm.tile_cols, norm.threads);
   const auto s = static_cast<std::size_t>(tiling_.shards());
-  shards_.resize(s);
+  shards_ = std::vector<CongestionMap>(s);
   queues_.resize(s * s);
   cross_.assign(s, 0);
 }
 
-Link ShardedCongestionMap::link_of(LinkKey key) {
-  Coord from{key.row, key.col};
-  Coord to = from;
-  switch (key.dir) {
-    case kUp: to.row -= 1; break;
-    case kDown: to.row += 1; break;
-    case kLeft: to.col -= 1; break;
-    default: to.col += 1; break;
-  }
-  return Link{from, to};
-}
-
-void ShardedCongestionMap::register_bucket(PhaseId id) {
+void ShardedCongestionMap::register_bucket() {
+  // Every shard mirrors the same phase stack.
+  const PhaseId id = shards_.front().bucket();
   if (seen_buckets_.insert(id).second) bucket_order_.push_back(id);
 }
 
 template <typename Fn>
 void ShardedCongestionMap::for_each_segment(Coord from, Coord to,
                                             Fn&& fn) const {
-  // Dimension-ordered routing, rows first then columns, exactly as
-  // CongestionMap::route. Each unit hop is keyed by its *from*-cell, so
-  // the row run's from-cells are [from.row, to.row-1] going down (or
-  // [to.row+1, from.row] going up) at column from.col, and the column
-  // run's are at row to.row. Runs split at tile-band boundaries; each
-  // resulting Segment lies in exactly one tile.
-  if (to.row != from.row) {
-    const bool down = to.row > from.row;
-    const std::uint8_t dir = down ? kDown : kUp;
-    const index_t lo = down ? from.row : to.row + 1;
-    const index_t hi = down ? to.row - 1 : from.row;
-    index_t r = lo;
-    while (r <= hi) {
-      const index_t band_end = std::min(hi, tiling_.next_row_band(r) - 1);
-      fn(tiling_.shard_of(tiling_.tile_of(Coord{r, from.col})),
-         Segment{r, from.col, band_end - r + 1, dir});
-      r = band_end + 1;
-    }
-  }
-  if (to.col != from.col) {
-    const bool right = to.col > from.col;
-    const std::uint8_t dir = right ? kRight : kLeft;
-    const index_t lo = right ? from.col : to.col + 1;
-    const index_t hi = right ? to.col - 1 : from.col;
-    index_t c = lo;
-    while (c <= hi) {
-      const index_t band_end = std::min(hi, tiling_.next_col_band(c) - 1);
-      fn(tiling_.shard_of(tiling_.tile_of(Coord{to.row, c})),
-         Segment{to.row, c, band_end - c + 1, dir});
-      c = band_end + 1;
+  for (Run run : CongestionMap::route(from, to)) {
+    index_t& start = run.vertical() ? run.row : run.col;
+    while (run.count > 0) {
+      const index_t band_end = run.vertical() ? tiling_.next_row_band(start)
+                                              : tiling_.next_col_band(start);
+      Run seg = run;
+      seg.count = std::min(run.count, band_end - start);
+      fn(owner(Coord{seg.row, seg.col}), seg);
+      run.count -= seg.count;
+      start += seg.count;
     }
   }
 }
 
-void ShardedCongestionMap::apply_segment(Shard& shard, Bucket& bucket,
-                                         const Segment& seg) {
-  const bool vertical = seg.dir == kUp || seg.dir == kDown;
-  Coord cur{seg.row, seg.col};
-  for (index_t i = 0; i < seg.count; ++i) {
-    const LinkKey key{cur.row, cur.col, seg.dir};
-    index_t& slot = shard.load[key];
-    ++slot;
-    ++shard.total;
-    shard.peak = std::max(shard.peak, slot);
-    index_t& bslot = bucket.load[key];
-    ++bslot;
-    ++bucket.occupancy;
-    bucket.peak = std::max(bucket.peak, bslot);
-    if (vertical) {
-      ++cur.row;
-    } else {
-      ++cur.col;
-    }
-  }
-}
-
-void ShardedCongestionMap::apply_serial(Coord from, Coord to,
-                                        PhaseId bucket_id) {
-  for_each_segment(from, to, [&](int owner, const Segment& seg) {
-    Shard& sh = shards_[static_cast<std::size_t>(owner)];
-    apply_segment(sh, sh.buckets[bucket_id], seg);
+void ShardedCongestionMap::apply_serial(Coord from, Coord to) {
+  for_each_segment(from, to, [&](int owner, const Run& seg) {
+    shards_[static_cast<std::size_t>(owner)].add(seg);
   });
 }
 
 void ShardedCongestionMap::apply_parallel(Engine& eng,
-                                          std::span<const MessageEvent> batch,
-                                          PhaseId bucket_id) {
+                                          std::span<const MessageEvent> batch) {
   const int shards = tiling_.shards();
   for (auto& q : queues_) q.clear();
   const MessageEvent* const data = batch.data();
@@ -392,18 +329,17 @@ void ShardedCongestionMap::apply_parallel(Engine& eng,
   eng.run([&](int w) {
     // Pass A: decompose my block's messages; apply my own tiles'
     // segments directly, ship foreign ones through the SPSC queues.
-    std::vector<Segment>* const outq =
+    std::vector<Run>* const outq =
         &queues_[static_cast<std::size_t>(w) * static_cast<std::size_t>(shards)];
-    Shard& mine = shards_[static_cast<std::size_t>(w)];
-    Bucket& bk = mine.buckets[bucket_id];
+    CongestionMap& mine = shards_[static_cast<std::size_t>(w)];
     std::uint64_t cross = 0;
     const auto [lo, hi] = eng.slice(n, w);
     for (std::size_t i = lo; i < hi; ++i) {
       const MessageEvent& e = data[i];
       if (e.distance == 0) continue;
-      for_each_segment(e.from, e.to, [&](int owner, const Segment& seg) {
+      for_each_segment(e.from, e.to, [&](int owner, const Run& seg) {
         if (owner == w) {
-          apply_segment(mine, bk, seg);
+          mine.add(seg);
         } else {
           outq[owner].push_back(seg);
           ++cross;
@@ -419,7 +355,7 @@ void ShardedCongestionMap::apply_parallel(Engine& eng,
       const auto& inq =
           queues_[static_cast<std::size_t>(p) * static_cast<std::size_t>(shards) +
                   static_cast<std::size_t>(w)];
-      for (const Segment& seg : inq) apply_segment(mine, bk, seg);
+      for (const Run& seg : inq) mine.add(seg);
     }
   });
   for (int w = 0; w < shards; ++w) {
@@ -431,9 +367,8 @@ void ShardedCongestionMap::on_message(Coord from, Coord to, index_t distance) {
   assert(distance == manhattan(from, to));
   ++messages_;
   if (distance == 0) return;
-  const PhaseId id = bucket();
-  register_bucket(id);
-  apply_serial(from, to, id);
+  register_bucket();
+  apply_serial(from, to);
 }
 
 void ShardedCongestionMap::on_send_bulk(std::span<const MessageEvent> batch) {
@@ -443,81 +378,60 @@ void ShardedCongestionMap::on_send_bulk(std::span<const MessageEvent> batch) {
   }
   if (charged == 0) return;
   messages_ += charged;
-  const PhaseId id = bucket();
-  register_bucket(id);
+  register_bucket();
   Engine* const eng = engine();
   if (eng != nullptr && eng->tiling() == tiling_ &&
       static_cast<index_t>(batch.size()) >= eng->config().min_parallel_batch) {
-    apply_parallel(*eng, batch, id);
+    apply_parallel(*eng, batch);
     ++parallel_batches_;
   } else {
     for (const MessageEvent& e : batch) {
-      if (e.distance != 0) apply_serial(e.from, e.to, id);
+      if (e.distance != 0) apply_serial(e.from, e.to);
     }
   }
 }
 
-void ShardedCongestionMap::on_phase_enter(PhaseId id) { stack_.push_back(id); }
+void ShardedCongestionMap::on_phase_enter(PhaseId id) {
+  for (CongestionMap& sh : shards_) sh.on_phase_enter(id);
+}
 
 void ShardedCongestionMap::on_phase_exit(PhaseId id) {
-  (void)id;
-  if (stack_.empty()) return;  // imbalance is the checker's to report
-  stack_.pop_back();
+  for (CongestionMap& sh : shards_) sh.on_phase_exit(id);
 }
 
 void ShardedCongestionMap::on_reset() { clear(); }
 
 void ShardedCongestionMap::clear() {
-  for (Shard& sh : shards_) {
-    sh.load.clear();
-    sh.total = 0;
-    sh.peak = 0;
-    sh.buckets.clear();
-  }
+  // Like CongestionMap::clear(), the mirrored phase stacks survive.
+  for (CongestionMap& sh : shards_) sh.clear();
   messages_ = 0;
   bucket_order_.clear();
   seen_buckets_.clear();
   parallel_batches_ = 0;
   cross_tile_segments_ = 0;
-  // stack_ deliberately survives, exactly like CongestionMap::clear().
 }
 
 index_t ShardedCongestionMap::total_occupancy() const {
   index_t total = 0;
-  for (const Shard& sh : shards_) total += sh.total;
+  for (const CongestionMap& sh : shards_) total += sh.total_occupancy();
   return total;
 }
 
 index_t ShardedCongestionMap::links() const {
-  std::size_t n = 0;
-  for (const Shard& sh : shards_) n += sh.load.size();
-  return static_cast<index_t>(n);
+  index_t n = 0;
+  for (const CongestionMap& sh : shards_) n += sh.links();
+  return n;
 }
 
 index_t ShardedCongestionMap::occupancy(Link link) const {
-  std::uint8_t dir = 0;
-  const index_t dr = link.to.row - link.from.row;
-  const index_t dc = link.to.col - link.from.col;
-  if (dr == -1 && dc == 0) {
-    dir = kUp;
-  } else if (dr == 1 && dc == 0) {
-    dir = kDown;
-  } else if (dr == 0 && dc == -1) {
-    dir = kLeft;
-  } else if (dr == 0 && dc == 1) {
-    dir = kRight;
-  } else {
-    return 0;  // not a unit link
-  }
-  const int owner = tiling_.shard_of(tiling_.tile_of(link.from));
-  const Shard& sh = shards_[static_cast<std::size_t>(owner)];
-  const auto it = sh.load.find(LinkKey{link.from.row, link.from.col, dir});
-  return it == sh.load.end() ? 0 : it->second;
+  return shards_[static_cast<std::size_t>(owner(link.from))].occupancy(link);
 }
 
 index_t ShardedCongestionMap::max_link_load() const {
   index_t peak = 0;
-  for (const Shard& sh : shards_) peak = std::max(peak, sh.peak);
+  for (const CongestionMap& sh : shards_) {
+    peak = std::max(peak, sh.max_link_load());
+  }
   return peak;
 }
 
@@ -525,10 +439,9 @@ std::vector<std::pair<Link, index_t>> ShardedCongestionMap::sorted_links()
     const {
   std::vector<std::pair<Link, index_t>> all;
   all.reserve(static_cast<std::size_t>(links()));
-  for (const Shard& sh : shards_) {
-    for (const auto& [key, count] : sh.load) {
-      all.push_back({link_of(key), count});
-    }
+  for (const CongestionMap& sh : shards_) {
+    const auto part = sh.sorted_links();
+    all.insert(all.end(), part.begin(), part.end());
   }
   std::sort(all.begin(), all.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
@@ -538,8 +451,9 @@ std::vector<std::pair<Link, index_t>> ShardedCongestionMap::sorted_links()
 std::vector<index_t> ShardedCongestionMap::occupancy_multiset() const {
   std::vector<index_t> values;
   values.reserve(static_cast<std::size_t>(links()));
-  for (const Shard& sh : shards_) {
-    for (const auto& [key, count] : sh.load) values.push_back(count);
+  for (const CongestionMap& sh : shards_) {
+    const auto part = sh.occupancy_multiset();
+    values.insert(values.end(), part.begin(), part.end());
   }
   std::sort(values.begin(), values.end());
   return values;
@@ -552,9 +466,9 @@ ShardedCongestionMap::phase_congestion() const {
   for (const PhaseId id : bucket_order_) {
     PhaseCongestion pc;
     pc.phase = id;
-    for (const Shard& sh : shards_) {
-      const auto it = sh.buckets.find(id);
-      if (it == sh.buckets.end()) continue;
+    for (const CongestionMap& sh : shards_) {
+      const auto it = sh.phases_.find(id);
+      if (it == sh.phases_.end()) continue;
       pc.occupancy += it->second.occupancy;
       pc.links += static_cast<index_t>(it->second.load.size());
       pc.peak = std::max(pc.peak, it->second.peak);
@@ -566,9 +480,8 @@ ShardedCongestionMap::phase_congestion() const {
 
 index_t ShardedCongestionMap::phase_peak(PhaseId id) const {
   index_t peak = 0;
-  for (const Shard& sh : shards_) {
-    const auto it = sh.buckets.find(id);
-    if (it != sh.buckets.end()) peak = std::max(peak, it->second.peak);
+  for (const CongestionMap& sh : shards_) {
+    peak = std::max(peak, sh.phase_peak(id));
   }
   return peak;
 }
@@ -580,186 +493,6 @@ index_t ShardedCongestionMap::congested_clock() const {
   index_t clock = 0;
   for (const PhaseId id : bucket_order_) clock += phase_peak(id);
   return clock;
-}
-
-// ---------------------------------------------------------------------------
-// ShardedLoadMap
-
-ShardedLoadMap::ShardedLoadMap(const Config& cfg) {
-  const Config norm = normalized(cfg);
-  tiling_ = Tiling(norm.tile_rows, norm.tile_cols, norm.threads);
-  const auto s = static_cast<std::size_t>(tiling_.shards());
-  shards_.resize(s);
-  queues_.resize(s * s);
-  cross_.assign(s, 0);
-}
-
-template <typename Fn>
-void ShardedLoadMap::for_each_cell_segment(Coord from, Coord to,
-                                           Fn&& fn) const {
-  // LoadMap's walk bumps every path cell endpoints-inclusive: the start
-  // cell, each cell of the row run at from.col, then each *new* cell of
-  // the column run at to.row (the corner is counted once). That is one
-  // inclusive vertical run [from.row..to.row] x {from.col} plus a
-  // horizontal run at to.row excluding from.col.
-  {
-    const index_t lo = std::min(from.row, to.row);
-    const index_t hi = std::max(from.row, to.row);
-    index_t r = lo;
-    while (r <= hi) {
-      const index_t band_end = std::min(hi, tiling_.next_row_band(r) - 1);
-      fn(tiling_.shard_of(tiling_.tile_of(Coord{r, from.col})),
-         Segment{r, from.col, band_end - r + 1, kDown});
-      r = band_end + 1;
-    }
-  }
-  if (to.col != from.col) {
-    const index_t lo = to.col > from.col ? from.col + 1 : to.col;
-    const index_t hi = to.col > from.col ? to.col : from.col - 1;
-    index_t c = lo;
-    while (c <= hi) {
-      const index_t band_end = std::min(hi, tiling_.next_col_band(c) - 1);
-      fn(tiling_.shard_of(tiling_.tile_of(Coord{to.row, c})),
-         Segment{to.row, c, band_end - c + 1, kRight});
-      c = band_end + 1;
-    }
-  }
-}
-
-void ShardedLoadMap::apply_segment(Shard& shard, const Segment& seg) {
-  const bool vertical = seg.dir == kUp || seg.dir == kDown;
-  Coord cur{seg.row, seg.col};
-  for (index_t i = 0; i < seg.count; ++i) {
-    index_t& slot = shard.load[{cur.row, cur.col}];
-    ++slot;
-    ++shard.total;
-    shard.peak = std::max(shard.peak, slot);
-    if (vertical) {
-      ++cur.row;
-    } else {
-      ++cur.col;
-    }
-  }
-}
-
-void ShardedLoadMap::apply_serial(Coord from, Coord to) {
-  for_each_cell_segment(from, to, [&](int owner, const Segment& seg) {
-    apply_segment(shards_[static_cast<std::size_t>(owner)], seg);
-  });
-}
-
-void ShardedLoadMap::on_message(Coord from, Coord to, index_t distance) {
-  assert(distance == manhattan(from, to));
-  (void)distance;
-  ++messages_;
-  // Matches LoadMap::on_message: even a zero-distance message bumps its
-  // (single) cell — the inclusive vertical run covers exactly that.
-  apply_serial(from, to);
-}
-
-void ShardedLoadMap::on_send_bulk(std::span<const MessageEvent> batch) {
-  index_t charged = 0;
-  for (const MessageEvent& e : batch) {
-    if (e.distance != 0) ++charged;
-  }
-  if (charged == 0) return;
-  messages_ += charged;
-  Engine* const eng = engine();
-  if (eng != nullptr && eng->tiling() == tiling_ &&
-      static_cast<index_t>(batch.size()) >= eng->config().min_parallel_batch) {
-    const int shards = tiling_.shards();
-    for (auto& q : queues_) q.clear();
-    const MessageEvent* const data = batch.data();
-    const std::size_t n = batch.size();
-    eng->run([&](int w) {
-      std::vector<Segment>* const outq =
-          &queues_[static_cast<std::size_t>(w) *
-                   static_cast<std::size_t>(shards)];
-      Shard& mine = shards_[static_cast<std::size_t>(w)];
-      std::uint64_t cross = 0;
-      const auto [lo, hi] = eng->slice(n, w);
-      for (std::size_t i = lo; i < hi; ++i) {
-        const MessageEvent& e = data[i];
-        if (e.distance == 0) continue;
-        for_each_cell_segment(e.from, e.to, [&](int owner, const Segment& seg) {
-          if (owner == w) {
-            apply_segment(mine, seg);
-          } else {
-            outq[owner].push_back(seg);
-            ++cross;
-          }
-        });
-      }
-      cross_[static_cast<std::size_t>(w)] = cross;
-      eng->sync();
-      for (int p = 0; p < shards; ++p) {
-        if (p == w) continue;
-        const auto& inq = queues_[static_cast<std::size_t>(p) *
-                                      static_cast<std::size_t>(shards) +
-                                  static_cast<std::size_t>(w)];
-        for (const Segment& seg : inq) apply_segment(mine, seg);
-      }
-    });
-    for (int w = 0; w < shards; ++w) {
-      cross_tile_segments_ += cross_[static_cast<std::size_t>(w)];
-    }
-    ++parallel_batches_;
-  } else {
-    for (const MessageEvent& e : batch) {
-      if (e.distance != 0) apply_serial(e.from, e.to);
-    }
-  }
-}
-
-index_t ShardedLoadMap::load_at(Coord c) const {
-  const int owner = tiling_.shard_of(tiling_.tile_of(c));
-  const Shard& sh = shards_[static_cast<std::size_t>(owner)];
-  const auto it = sh.load.find({c.row, c.col});
-  return it == sh.load.end() ? 0 : it->second;
-}
-
-index_t ShardedLoadMap::total_load() const {
-  index_t total = 0;
-  for (const Shard& sh : shards_) total += sh.total;
-  return total;
-}
-
-index_t ShardedLoadMap::max_load() const {
-  index_t peak = 0;
-  for (const Shard& sh : shards_) peak = std::max(peak, sh.peak);
-  return peak;
-}
-
-index_t ShardedLoadMap::touched_cells() const {
-  std::size_t n = 0;
-  for (const Shard& sh : shards_) n += sh.load.size();
-  return static_cast<index_t>(n);
-}
-
-std::vector<std::pair<Coord, index_t>> ShardedLoadMap::sorted_loads() const {
-  std::vector<std::pair<Coord, index_t>> all;
-  all.reserve(static_cast<std::size_t>(touched_cells()));
-  for (const Shard& sh : shards_) {
-    for (const auto& [cell, count] : sh.load) {
-      all.push_back({Coord{cell.first, cell.second}, count});
-    }
-  }
-  std::sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
-    if (a.first.row != b.first.row) return a.first.row < b.first.row;
-    return a.first.col < b.first.col;
-  });
-  return all;
-}
-
-void ShardedLoadMap::clear() {
-  for (Shard& sh : shards_) {
-    sh.load.clear();
-    sh.total = 0;
-    sh.peak = 0;
-  }
-  messages_ = 0;
-  parallel_batches_ = 0;
-  cross_tile_segments_ = 0;
 }
 
 }  // namespace scm::parallel

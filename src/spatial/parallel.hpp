@@ -33,15 +33,15 @@
 // birth_bulk batches of at least Config::min_parallel_batch entries are
 // routed here, everything else stays on the single-threaded path.
 //
-// ShardedCongestionMap / ShardedLoadMap are the mergeable counterparts of
-// the serial observability sinks: per-worker shards own disjoint link /
-// cell sets (keyed by the tile of the link's from-cell), messages split
-// at tile crossings into Segment runs under the same dimension-ordered
-// routing CongestionMap uses, cross-tile segments travel per-(producer,
-// consumer) SPSC queues drained in fixed producer order, and every export
-// is a fold of sums/maxima over disjoint keys — bit-identical to the
-// serial sinks (asserted per Table-1 algorithm by bulk_ab's three-way
-// harness). Determinism contract: docs/MODEL.md "Sharded execution".
+// ShardedCongestionMap is the mergeable counterpart of the serial
+// CongestionMap: per-worker shards, each a CongestionMap, own disjoint
+// link sets (keyed by the tile of the link's from-cell). The runs of
+// CongestionMap::route split at tile bands into segments, cross-tile
+// segments travel per-(producer, consumer) SPSC queues drained in fixed
+// producer order, and every export is a fold of sums/maxima over disjoint
+// keys — bit-identical to the serial sink (asserted per Table-1 algorithm
+// by bulk_ab's three-way harness). Determinism contract: docs/MODEL.md
+// "Sharded execution".
 #pragma once
 
 #include "spatial/clock.hpp"
@@ -86,8 +86,8 @@ struct TileCoord {
 };
 
 /// The tile partition plus the fixed tile->shard ownership hash. Both the
-/// Engine and the sharded sinks carry one; the parallel fast path of a
-/// sink requires its Tiling to equal the engine's so "only worker w
+/// Engine and the ShardedCongestionMap carry one; the sink's parallel
+/// fast path requires its Tiling to equal the engine's so "only worker w
 /// writes shard w" holds by construction.
 class Tiling {
  public:
@@ -126,9 +126,7 @@ class Tiling {
   /// diagnostics reproducible run-to-run.
   [[nodiscard]] int shard_of(TileCoord t) const {
     if (shards_ == 1) return 0;
-    std::uint64_t h =
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(t.row)) << 32) |
-        static_cast<std::uint64_t>(static_cast<std::uint32_t>(t.col));
+    std::uint64_t h = coord_key(t.row, t.col);
     h ^= h >> 33;
     h *= 0xff51afd7ed558ccdULL;
     h ^= h >> 33;
@@ -305,26 +303,15 @@ class ScopedParallelEngine {
   Config saved_;
 };
 
-/// A maximal run of directed unit links (or cells, for ShardedLoadMap)
-/// inside one tile band: `count` steps starting at (row, col), advancing
-/// along the axis `dir` moves on. Messages split into at most a handful
-/// of segments at tile crossings; cross-tile segments are the unit
-/// shipped through the sinks' SPSC queues.
-struct Segment {
-  index_t row{0};
-  index_t col{0};
-  index_t count{0};
-  std::uint8_t dir{0};  ///< 0 up, 1 down, 2 left, 3 right (CongestionMap's)
-};
-
 /// Mergeable, shard-per-worker counterpart of CongestionMap. Each shard
-/// owns the links whose from-cell lies in its tiles, so every export —
-/// occupancy totals, per-phase peaks, the congested clock — is a fold of
-/// sums/maxima over disjoint key sets: exact under any worker completion
-/// order, and bit-identical to the serial CongestionMap on the same
-/// stream (the three-way bulk_ab harness asserts this per algorithm).
-/// Report-time extras (heatmaps, counter samples, Chrome export) stay on
-/// the serial sink; this one is the execution-scale accumulator.
+/// is a CongestionMap owning the links whose from-cell lies in its tiles,
+/// so every export — occupancy totals, per-phase peaks, the congested
+/// clock — is a fold of sums/maxima over disjoint key sets: exact under
+/// any worker completion order, and bit-identical to the serial
+/// CongestionMap on the same stream (the three-way bulk_ab harness
+/// asserts this per algorithm). Report-time extras (heatmaps, counter
+/// samples, Chrome export) stay on the serial sink; this one is the
+/// execution-scale accumulator.
 class ShardedCongestionMap final : public TraceSink {
  public:
   using PhaseCongestion = CongestionMap::PhaseCongestion;
@@ -363,129 +350,34 @@ class ShardedCongestionMap final : public TraceSink {
   void clear();
 
  private:
-  struct LinkKey {
-    index_t row{0};
-    index_t col{0};
-    std::uint8_t dir{0};
+  using Run = CongestionMap::Run;
 
-    friend bool operator==(const LinkKey&, const LinkKey&) = default;
-  };
-  struct LinkKeyHash {
-    std::size_t operator()(const LinkKey& k) const {
-      const auto mix = (static_cast<std::uint64_t>(k.row) << 32) ^
-                       static_cast<std::uint64_t>(k.col & 0xffffffff);
-      return std::hash<std::uint64_t>{}(mix * 4 + k.dir);
-    }
-  };
-  using LinkLoad = std::unordered_map<LinkKey, index_t, LinkKeyHash>;
-
-  struct Bucket {
-    LinkLoad load;
-    index_t occupancy{0};
-    index_t peak{0};
-  };
-  struct alignas(64) Shard {
-    LinkLoad load;
-    index_t total{0};
-    index_t peak{0};
-    std::unordered_map<PhaseId, Bucket> buckets;
-  };
-
-  [[nodiscard]] PhaseId bucket() const {
-    return stack_.empty() ? kNoPhase : stack_.back();
+  /// Records the innermost phase as a bucket with traffic (first-touch
+  /// order, like CongestionMap's).
+  void register_bucket();
+  [[nodiscard]] int owner(Coord c) const {
+    return tiling_.shard_of(tiling_.tile_of(c));
   }
-  void register_bucket(PhaseId id);
-  /// Split the dimension-ordered path of one charged message into tile-
-  /// band Segments and hand each to `fn(owner_shard, segment)`.
+  /// Split the runs of one charged message at tile bands and hand each
+  /// piece, which lies in exactly one tile, to `fn(owner_shard, segment)`.
   template <typename Fn>
   void for_each_segment(Coord from, Coord to, Fn&& fn) const;
-  void apply_segment(Shard& shard, Bucket& bucket, const Segment& seg);
-  void apply_serial(Coord from, Coord to, PhaseId bucket_id);
-  void apply_parallel(Engine& eng, std::span<const MessageEvent> batch,
-                      PhaseId bucket_id);
-
-  static Link link_of(LinkKey key);
+  void apply_serial(Coord from, Coord to);
+  void apply_parallel(Engine& eng, std::span<const MessageEvent> batch);
 
   Tiling tiling_;
-  std::vector<Shard> shards_;
+  /// One CongestionMap per shard; each sees every phase transition, so
+  /// its buckets follow the machine's innermost phase.
+  std::vector<CongestionMap> shards_;
   /// Cross-tile segment queues, one per (producer, consumer) pair:
   /// written only by `producer` before the barrier, drained only by
   /// `consumer` after it, in fixed producer order.
-  std::vector<std::vector<Segment>> queues_;
+  std::vector<std::vector<Run>> queues_;
   std::vector<std::uint64_t> cross_;  ///< per-producer cross-tile counts
 
   index_t messages_{0};
-  std::vector<PhaseId> stack_;         ///< mirror of the machine's stack
   std::vector<PhaseId> bucket_order_;  ///< first-touch order of buckets
   std::unordered_set<PhaseId> seen_buckets_;
-  std::uint64_t parallel_batches_{0};
-  std::uint64_t cross_tile_segments_{0};
-};
-
-/// Mergeable, shard-per-worker counterpart of LoadMap: per-cell traffic
-/// under the same inclusive-endpoint dimension-ordered walk, cells owned
-/// by the shard of their tile. Exports fold disjoint shards and match
-/// the serial LoadMap bit-for-bit. Report-time extras (heatmap,
-/// percentiles, imbalance) stay on the serial sink.
-class ShardedLoadMap final : public TraceSink {
- public:
-  explicit ShardedLoadMap(const Config& cfg = config());
-
-  void on_message(Coord from, Coord to, index_t distance) override;
-  void on_send_bulk(std::span<const MessageEvent> batch) override;
-
-  [[nodiscard]] index_t load_at(Coord c) const;
-  [[nodiscard]] index_t total_load() const;
-  [[nodiscard]] index_t messages() const { return messages_; }
-  [[nodiscard]] index_t max_load() const;
-  [[nodiscard]] index_t touched_cells() const;
-  /// Every touched cell with its load, sorted by (row, col) — the
-  /// canonical byte-comparable form the tests diff against LoadMap.
-  [[nodiscard]] std::vector<std::pair<Coord, index_t>> sorted_loads() const;
-
-  [[nodiscard]] const Tiling& tiling() const { return tiling_; }
-  [[nodiscard]] std::uint64_t cross_tile_segments() const {
-    return cross_tile_segments_;
-  }
-  [[nodiscard]] std::uint64_t parallel_batches() const {
-    return parallel_batches_;
-  }
-
-  void clear();
-
- private:
-  struct CellHash {
-    std::size_t operator()(const std::pair<index_t, index_t>& c) const {
-      const auto mix = (static_cast<std::uint64_t>(c.first) << 32) ^
-                       static_cast<std::uint64_t>(c.second & 0xffffffff);
-      return std::hash<std::uint64_t>{}(mix);
-    }
-  };
-  using CellLoad =
-      std::unordered_map<std::pair<index_t, index_t>, index_t, CellHash>;
-
-  struct alignas(64) Shard {
-    CellLoad load;
-    index_t total{0};
-    index_t peak{0};
-  };
-
-  /// Split the inclusive-endpoint cell walk (vertical run at from.col,
-  /// then horizontal run at to.row excluding the corner) into tile-band
-  /// Segments; `fn(owner_shard, segment)`. Vertical segments advance the
-  /// row; horizontal ones the column (Segment::dir reuses the link dirs:
-  /// down for vertical runs, right/left for horizontal).
-  template <typename Fn>
-  void for_each_cell_segment(Coord from, Coord to, Fn&& fn) const;
-  void apply_segment(Shard& shard, const Segment& seg);
-  void apply_serial(Coord from, Coord to);
-
-  Tiling tiling_;
-  std::vector<Shard> shards_;
-  std::vector<std::vector<Segment>> queues_;
-  std::vector<std::uint64_t> cross_;
-
-  index_t messages_{0};
   std::uint64_t parallel_batches_{0};
   std::uint64_t cross_tile_segments_{0};
 };

@@ -99,8 +99,15 @@ IndependenceChecker::Config embedded_independence_config() {
 
 Profiler::Profiler(Options options) : options_(options) {
   nodes_.push_back(PhaseNode{});
-  if (options_.load_map) load_map_ = std::make_unique<LoadMap>();
-  if (options_.congestion) congestion_ = std::make_unique<CongestionMap>();
+  // One link map serves both report sections: the LoadMap's own when the
+  // load map is on, so each message is routed at most once.
+  if (options_.load_map) {
+    load_map_ = std::make_unique<LoadMap>();
+    router_ = load_map_.get();
+  } else if (options_.congestion) {
+    congestion_ = std::make_unique<CongestionMap>();
+    router_ = congestion_.get();
+  }
   if (options_.independence) {
     independence_ =
         std::make_unique<IndependenceChecker>(embedded_independence_config());
@@ -124,8 +131,7 @@ std::uint32_t Profiler::child_of(std::uint32_t parent, PhaseId id) {
 }
 
 void Profiler::on_message(Coord from, Coord to, index_t distance) {
-  if (load_map_ != nullptr) load_map_->on_message(from, to, distance);
-  if (congestion_ != nullptr) congestion_->on_message(from, to, distance);
+  if (router_ != nullptr) router_->on_message(from, to, distance);
 }
 
 void Profiler::on_send(const MessageEvent& e) {
@@ -146,7 +152,7 @@ void Profiler::on_send(const MessageEvent& e) {
 
 void Profiler::on_send_bulk(std::span<const MessageEvent> batch) {
   if (independence_ != nullptr) independence_->on_send_bulk(batch);
-  if (congestion_ != nullptr) congestion_->on_send_bulk(batch);
+  if (router_ != nullptr) router_->on_send_bulk(batch);
   index_t energy = 0;
   index_t messages = 0;
   Clock max{};
@@ -160,9 +166,6 @@ void Profiler::on_send_bulk(std::span<const MessageEvent> batch) {
     ++messages;
     max = Clock::join(max, e.arrival);
     node.hist.add(e.distance);
-    if (load_map_ != nullptr) {
-      load_map_->on_message(e.from, e.to, e.distance);
-    }
     if (options_.witness) {
       record_witness(WitnessEvent{e.from, e.to, e.distance, e.payload,
                                   e.arrival, cur_, /*is_birth=*/false});
@@ -222,13 +225,13 @@ void Profiler::record_witness(const WitnessEvent& e) {
 }
 
 void Profiler::on_phase_enter(PhaseId id) {
-  if (congestion_ != nullptr) congestion_->on_phase_enter(id);
+  if (router_ != nullptr) router_->on_phase_enter(id);
   stack_.push_back(id);
   cur_ = child_of(cur_, id);
   ScopeEvent s{true, id, ticks_, totals_.energy};
-  if (congestion_ != nullptr) {
-    s.max_link_load = congestion_->max_link_load();
-    s.congested_clock = congestion_->congested_clock();
+  if (const CongestionMap* cm = congestion(); cm != nullptr) {
+    s.max_link_load = cm->max_link_load();
+    s.congested_clock = cm->congested_clock();
   }
   scopes_.push_back(s);
   if (independence_ != nullptr) independence_->on_phase_enter(id);
@@ -236,14 +239,14 @@ void Profiler::on_phase_enter(PhaseId id) {
 
 void Profiler::on_phase_exit(PhaseId id) {
   if (independence_ != nullptr) independence_->on_phase_exit(id);
-  if (congestion_ != nullptr) congestion_->on_phase_exit(id);
+  if (router_ != nullptr) router_->on_phase_exit(id);
   if (stack_.empty()) return;  // imbalance is the checker's to report
   stack_.pop_back();
   cur_ = nodes_[cur_].parent;
   ScopeEvent s{false, id, ticks_, totals_.energy};
-  if (congestion_ != nullptr) {
-    s.max_link_load = congestion_->max_link_load();
-    s.congested_clock = congestion_->congested_clock();
+  if (const CongestionMap* cm = congestion(); cm != nullptr) {
+    s.max_link_load = cm->max_link_load();
+    s.congested_clock = cm->congested_clock();
   }
   scopes_.push_back(s);
 }
@@ -261,10 +264,10 @@ void Profiler::clear() {
   events_.clear();
   first_depth_.clear();
   first_distance_.clear();
+  // The link map's clear() preserves its own mirrored phase stack (it
+  // sees every enter/exit we forward), so no replay below — replaying
+  // would double-enter the surviving scopes.
   if (load_map_ != nullptr) load_map_->clear();
-  // CongestionMap::clear preserves its own mirrored phase stack (it sees
-  // every enter/exit we forward), so no replay below — replaying would
-  // double-enter the surviving scopes.
   if (congestion_ != nullptr) congestion_->clear();
   if (independence_ != nullptr) {
     // An exported artifact describes the run since the last reset, so the
@@ -285,7 +288,8 @@ void Profiler::clear() {
 const LoadMap* Profiler::load_map() const { return load_map_.get(); }
 
 const CongestionMap* Profiler::congestion() const {
-  return congestion_.get();
+  if (!options_.congestion) return nullptr;
+  return load_map_ != nullptr ? &load_map_->links() : congestion_.get();
 }
 
 const IndependenceChecker* Profiler::independence() const {
@@ -418,9 +422,10 @@ std::string Profiler::chrome_trace_json() const {
   index_t last_load = 0;
   index_t last_clock = 0;
   bool sampled = false;
+  const CongestionMap* const cm = congestion();
   const auto counter = [&](std::uint64_t tick, index_t load,
                            index_t clock) {
-    if (congestion_ == nullptr) return;
+    if (cm == nullptr) return;
     if (sampled && load == last_load && clock == last_clock) return;
     sampled = true;
     last_load = load;
@@ -446,10 +451,9 @@ std::string Profiler::chrome_trace_json() const {
        << "\",\"cat\":\"phase\",\"args\":{\"energy\":" << totals_.energy
        << "}}";
   }
-  if (congestion_ != nullptr) {
+  if (cm != nullptr) {
     sampled = false;  // always close the track at the final tick
-    counter(ticks_, congestion_->max_link_load(),
-            congestion_->congested_clock());
+    counter(ticks_, cm->max_link_load(), cm->congested_clock());
   }
   os << "\n]}\n";
   return os.str();
@@ -557,13 +561,14 @@ std::string Profiler::json_report() const {
      << (load_map_ != nullptr ? "true" : "false");
   if (load_map_ != nullptr) {
     const LoadMap& lm = *load_map_;
+    const LoadMap::Cells cells = lm.cells();  // derived once per export
     os << ",\"messages\":" << lm.messages()
        << ",\"total_load\":" << lm.total_load()
-       << ",\"max_load\":" << lm.max_load() << ",\"imbalance\":"
-       << lm.imbalance() << ",\"p50\":" << lm.percentile(50.0)
-       << ",\"p95\":" << lm.percentile(95.0)
-       << ",\"p99\":" << lm.percentile(99.0) << ",\"hotspots\":[";
-    const auto spots = lm.hotspots(5);
+       << ",\"max_load\":" << cells.max_load() << ",\"imbalance\":"
+       << cells.imbalance() << ",\"p50\":" << cells.percentile(50.0)
+       << ",\"p95\":" << cells.percentile(95.0)
+       << ",\"p99\":" << cells.percentile(99.0) << ",\"hotspots\":[";
+    const auto spots = cells.hotspots(5);
     for (std::size_t i = 0; i < spots.size(); ++i) {
       if (i != 0) os << ',';
       os << "{\"at\":";
@@ -575,9 +580,9 @@ std::string Profiler::json_report() const {
   os << '}';
 
   os << ",\n\"congestion\":{\"enabled\":"
-     << (congestion_ != nullptr ? "true" : "false");
-  if (congestion_ != nullptr) {
-    const CongestionMap& cm = *congestion_;
+     << (congestion() != nullptr ? "true" : "false");
+  if (congestion() != nullptr) {
+    const CongestionMap& cm = *congestion();
     // Invariant CI asserts from artifacts: total_occupancy equals
     // totals.energy (every message of Manhattan distance d crosses
     // exactly d links), and congested_clock >= max_link_load.

@@ -100,15 +100,17 @@ class Profiler final : public TraceSink {
     bool witness{false};
 
     /// Maintain an internal LoadMap (dimension-ordered routing) so the
-    /// run report includes a congestion summary. Costs O(distance) per
-    /// message; off by default.
+    /// run report includes a per-processor traffic summary. Costs
+    /// O(distance) per message; off by default.
     bool load_map{false};
 
-    /// Maintain an embedded CongestionMap (per-link occupancy under the
-    /// same dimension-ordered routing as the load map, with per-phase
-    /// peak link loads and the diagnostic congested-clock metric) and
-    /// export it as the run report's "congestion" section plus a Chrome
-    /// counter track. Costs O(distance) per message; off by default.
+    /// Maintain an embedded CongestionMap (per-link occupancy under
+    /// dimension-ordered routing, with per-phase peak link loads and the
+    /// diagnostic congested-clock metric) and export it as the run
+    /// report's "congestion" section plus a Chrome counter track. Costs
+    /// O(distance) per message; off by default. With load_map also on,
+    /// the LoadMap's own link map is this map: each message is routed
+    /// once.
     bool congestion{false};
 
     /// Run an embedded IndependenceChecker (always non-strict: findings
@@ -294,8 +296,13 @@ class Profiler final : public TraceSink {
   std::unordered_map<index_t, std::uint32_t> first_depth_;
   std::unordered_map<index_t, std::uint32_t> first_distance_;
 
+  /// The one link map of the report's "load" and "congestion" sections:
+  /// the LoadMap's when Options::load_map, else a standalone
+  /// CongestionMap when Options::congestion.
   std::unique_ptr<LoadMap> load_map_;
   std::unique_ptr<CongestionMap> congestion_;
+  /// Whichever of the two exists; receives the message and phase events.
+  TraceSink* router_{nullptr};
   std::unique_ptr<IndependenceChecker> independence_;
 };
 

@@ -1,10 +1,5 @@
 #include "spatial/trace.hpp"
 
-#include <algorithm>
-#include <cassert>
-#include <cmath>
-#include <sstream>
-
 namespace scm {
 
 FanoutSink::FanoutSink(std::vector<TraceSink*> sinks) {
@@ -57,148 +52,6 @@ void FanoutSink::on_phase_exit(PhaseId id) {
 
 void FanoutSink::on_reset() {
   for (TraceSink* s : sinks_) s->on_reset();
-}
-
-void LoadMap::bump(Coord c) {
-  index_t& slot = load_[{c.row, c.col}];
-  ++slot;
-  ++total_;
-  max_load_ = std::max(max_load_, slot);
-  if (max_row_ < min_row_) {
-    min_row_ = max_row_ = c.row;
-    min_col_ = max_col_ = c.col;
-  } else {
-    min_row_ = std::min(min_row_, c.row);
-    max_row_ = std::max(max_row_, c.row);
-    min_col_ = std::min(min_col_, c.col);
-    max_col_ = std::max(max_col_, c.col);
-  }
-}
-
-void LoadMap::on_message(Coord from, Coord to, index_t distance) {
-  assert(distance == manhattan(from, to));
-  (void)distance;
-  ++messages_;
-  // Dimension-ordered routing: rows first, then columns.
-  Coord cur = from;
-  bump(cur);
-  const index_t row_step = to.row > cur.row ? 1 : -1;
-  while (cur.row != to.row) {
-    cur.row += row_step;
-    bump(cur);
-  }
-  const index_t col_step = to.col > cur.col ? 1 : -1;
-  while (cur.col != to.col) {
-    cur.col += col_step;
-    bump(cur);
-  }
-}
-
-void LoadMap::on_send_bulk(std::span<const MessageEvent> batch) {
-  for (const MessageEvent& e : batch) {
-    if (e.distance == 0) continue;
-    on_message(e.from, e.to, e.distance);
-  }
-}
-
-index_t LoadMap::load_at(Coord c) const {
-  const auto it = load_.find({c.row, c.col});
-  return it == load_.end() ? 0 : it->second;
-}
-
-std::vector<std::pair<Coord, index_t>> LoadMap::hotspots(
-    std::size_t k) const {
-  std::vector<std::pair<Coord, index_t>> all;
-  all.reserve(load_.size());
-  for (const auto& [pos, count] : load_) {
-    all.push_back({Coord{pos.first, pos.second}, count});
-  }
-  k = std::min(k, all.size());
-  std::partial_sort(all.begin(), all.begin() + static_cast<std::ptrdiff_t>(k),
-                    all.end(), [](const auto& a, const auto& b) {
-                      if (a.second != b.second) return a.second > b.second;
-                      if (a.first.row != b.first.row) {
-                        return a.first.row < b.first.row;
-                      }
-                      return a.first.col < b.first.col;
-                    });
-  all.resize(k);
-  return all;
-}
-
-index_t LoadMap::percentile(double p) const {
-  if (load_.empty()) return 0;
-  std::vector<index_t> loads;
-  loads.reserve(load_.size());
-  for (const auto& [pos, count] : load_) loads.push_back(count);
-  p = std::clamp(p, 0.0, 100.0);
-  // Nearest-rank: the smallest load l such that at least ceil(p% * n)
-  // touched processors carry <= l.
-  const auto rank = std::max<std::size_t>(
-      1, static_cast<std::size_t>(
-             std::ceil(p / 100.0 * static_cast<double>(loads.size()))));
-  auto nth = loads.begin() + static_cast<std::ptrdiff_t>(rank - 1);
-  std::nth_element(loads.begin(), nth, loads.end());
-  return *nth;
-}
-
-double LoadMap::imbalance() const {
-  if (load_.empty()) return 0.0;
-  const double mean =
-      static_cast<double>(total_) / static_cast<double>(load_.size());
-  double var = 0.0;
-  for (const auto& [pos, count] : load_) {
-    const double d = static_cast<double>(count) - mean;
-    var += d * d;
-  }
-  var /= static_cast<double>(load_.size());
-  return mean == 0.0 ? 0.0 : std::sqrt(var) / mean;
-}
-
-std::string LoadMap::heatmap(index_t max_side) const {
-  if (max_row_ < min_row_) return "(no traffic)\n";
-  static const char kLevels[] = " .:-=+*#%@";
-  const index_t rows = max_row_ - min_row_ + 1;
-  const index_t cols = max_col_ - min_col_ + 1;
-  const index_t bucket =
-      std::max<index_t>(1, (std::max(rows, cols) + max_side - 1) / max_side);
-  const index_t out_rows = (rows + bucket - 1) / bucket;
-  const index_t out_cols = (cols + bucket - 1) / bucket;
-
-  std::vector<index_t> grid(static_cast<size_t>(out_rows * out_cols), 0);
-  for (const auto& [pos, count] : load_) {
-    const index_t r = (pos.first - min_row_) / bucket;
-    const index_t c = (pos.second - min_col_) / bucket;
-    index_t& slot = grid[static_cast<size_t>(r * out_cols + c)];
-    slot = std::max(slot, count);
-  }
-  index_t peak = 1;
-  for (index_t v : grid) peak = std::max(peak, v);
-
-  std::ostringstream os;
-  os << "load heatmap (" << rows << "x" << cols << " cells, bucket "
-     << bucket << "x" << bucket << ", peak " << peak << ")\n";
-  for (index_t r = 0; r < out_rows; ++r) {
-    for (index_t c = 0; c < out_cols; ++c) {
-      const index_t v = grid[static_cast<size_t>(r * out_cols + c)];
-      const auto idx = static_cast<std::size_t>(
-          (static_cast<double>(v) / static_cast<double>(peak)) * 9.0);
-      os << kLevels[std::min<std::size_t>(idx, 9)];
-    }
-    os << "\n";
-  }
-  return os.str();
-}
-
-void LoadMap::clear() {
-  load_.clear();
-  total_ = 0;
-  messages_ = 0;
-  max_load_ = 0;
-  min_row_ = 0;
-  max_row_ = -1;
-  min_col_ = 0;
-  max_col_ = -1;
 }
 
 }  // namespace scm

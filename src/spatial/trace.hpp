@@ -1,26 +1,19 @@
 // Execution tracing for the Spatial Computer Model.
 //
 // Energy is the paper's proxy for total network load; this module makes
-// the load *distribution* and the model's state transitions observable. A
-// TraceSink attached to a Machine receives every charged message plus the
-// model-level lifecycle events (value births/deaths, phase boundaries,
-// resets) that the conformance checker (spatial/validate.hpp) enforces
-// invariants over. The LoadMap sink routes each message along the
-// dimension-ordered (row-first) Manhattan path and counts the traffic
-// through every processor, giving per-PE congestion maps, hotspot lists,
-// and an ASCII heatmap — the tooling behind the example_traffic_heatmap
-// demo comparing the Z-order scan's balanced load against the 1-D tree
-// scan's hotspots.
+// the model's state transitions observable. A TraceSink attached to a
+// Machine receives every charged message plus the model-level lifecycle
+// events (value births/deaths, phase boundaries, resets) that the
+// conformance checker (spatial/validate.hpp) enforces invariants over.
+// The sinks that show where traffic goes — per processor (LoadMap) and
+// per link (CongestionMap) — live in spatial/congestion.hpp.
 #pragma once
 
 #include "spatial/clock.hpp"
 #include "spatial/geometry.hpp"
 #include "spatial/phase.hpp"
 
-#include <cstdint>
 #include <span>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace scm {
@@ -71,7 +64,8 @@ class TraceSink {
   /// implementation replays the batch through on_message/on_send, so a
   /// sink that only implements the scalar hooks observes a stream
   /// indistinguishable from per-message charging; sinks with batchable
-  /// counters (Profiler, LoadMap) override it to amortize the dispatch.
+  /// counters (Profiler, CongestionMap) override it to amortize the
+  /// dispatch.
   virtual void on_send_bulk(std::span<const MessageEvent> batch) {
     for (const MessageEvent& e : batch) {
       if (e.distance == 0) continue;
@@ -150,73 +144,6 @@ class FanoutSink final : public TraceSink {
 
  private:
   std::vector<TraceSink*> sinks_;
-};
-
-/// Accumulates per-processor traffic by routing every message along the
-/// dimension-ordered Manhattan path (rows first, then columns), counting
-/// one unit of load at every processor the message transits (endpoints
-/// included).
-class LoadMap final : public TraceSink {
- public:
-  void on_message(Coord from, Coord to, index_t distance) override;
-
-  /// Batched routing: one virtual dispatch per batch instead of two per
-  /// message; per-processor counts are identical to the replayed stream.
-  void on_send_bulk(std::span<const MessageEvent> batch) override;
-
-  /// Traffic units that passed through processor `c`.
-  [[nodiscard]] index_t load_at(Coord c) const;
-
-  /// Total traffic (= sum of per-processor loads).
-  [[nodiscard]] index_t total_load() const { return total_; }
-
-  /// Number of messages observed.
-  [[nodiscard]] index_t messages() const { return messages_; }
-
-  /// Largest per-processor load (the congestion bottleneck).
-  [[nodiscard]] index_t max_load() const { return max_load_; }
-
-  /// The `k` most-loaded processors, descending (ties broken by
-  /// coordinate). O(n log k) via partial sort — cheap for the small k a
-  /// report shows even when millions of processors saw traffic.
-  [[nodiscard]] std::vector<std::pair<Coord, index_t>> hotspots(
-      std::size_t k) const;
-
-  /// Nearest-rank p-th percentile (p in [0, 100]) of the load over the
-  /// touched processors; 0 when no traffic was recorded. p = 100 is
-  /// max_load(); report summaries use p50/p95/p99.
-  [[nodiscard]] index_t percentile(double p) const;
-
-  /// Coefficient of variation of the load over the touched processors —
-  /// 0 means perfectly balanced traffic.
-  [[nodiscard]] double imbalance() const;
-
-  /// Renders an ASCII heatmap of the touched bounding box, downsampled to
-  /// at most `max_side` characters per side. Levels " .:-=+*#%@" scale
-  /// linearly with the bucket's maximum load.
-  [[nodiscard]] std::string heatmap(index_t max_side = 32) const;
-
-  void clear();
-
- private:
-  struct CoordHash {
-    std::size_t operator()(const std::pair<index_t, index_t>& p) const {
-      return std::hash<std::uint64_t>{}(
-          (static_cast<std::uint64_t>(p.first) << 32) ^
-          static_cast<std::uint64_t>(p.second & 0xffffffff));
-    }
-  };
-
-  void bump(Coord c);
-
-  std::unordered_map<std::pair<index_t, index_t>, index_t, CoordHash> load_;
-  index_t total_{0};
-  index_t messages_{0};
-  index_t max_load_{0};
-  index_t min_row_{0};
-  index_t max_row_{-1};
-  index_t min_col_{0};
-  index_t max_col_{-1};
 };
 
 }  // namespace scm

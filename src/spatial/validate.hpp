@@ -153,14 +153,6 @@ class ConformanceChecker final : public TraceSink {
   [[nodiscard]] static bool strict_model_default();
 
  private:
-  struct CoordHash {
-    std::size_t operator()(const Coord& c) const {
-      return std::hash<std::uint64_t>{}(
-          (static_cast<std::uint64_t>(c.row) << 32) ^
-          static_cast<std::uint64_t>(c.col & 0xffffffff));
-    }
-  };
-
   void record(ViolationKind kind, Coord at, std::string detail);
   void new_epoch();
   [[nodiscard]] std::string current_phase() const;

@@ -3,9 +3,11 @@
 //     dimension-ordered link decomposition, per-phase attribution, peaks,
 //     percentiles, hotspots, and congested clock are checked against
 //     values computed by hand, link by link;
-//   * the link-decomposition identity on every Table-1 algorithm: the
-//     summed per-link occupancy equals the machine's energy total (a
-//     message of Manhattan distance d crosses exactly d links);
+//   * the link-decomposition identity on every Table-1 algorithm and
+//     the tree tier: the summed per-link occupancy equals the machine's
+//     energy total (a message of Manhattan distance d crosses exactly d
+//     links), and the LoadMap's per-cell view matches a hop-by-hop
+//     reference walk query for query;
 //   * zero-length sends, self-sends, and empty batches produce no
 //     occupancy — matching the model's "free and unreported" contract;
 //   * the batched on_send_bulk path yields byte-identical per-link
@@ -14,7 +16,8 @@
 //     random programs; here it is pinned on a real collective);
 //   * exporters: ascii report / heatmap smoke, Chrome counter track
 //     parses, and the Profiler's schema-v3 JSON run report carries the
-//     "congestion" section with its CI-checked invariants.
+//     "congestion" section with its CI-checked invariants, under every
+//     combination of the load-map and congestion options.
 #include "spatial/congestion.hpp"
 
 #include "collectives/baselines.hpp"
@@ -26,12 +29,21 @@
 #include "spatial/rng.hpp"
 #include "spmv/generators.hpp"
 #include "spmv/spmv.hpp"
+#include "testing/gen.hpp"
+#include "tree/euler.hpp"
+#include "tree/lca.hpp"
 #include "util/json.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <functional>
+#include <limits>
+#include <map>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace scm {
@@ -145,12 +157,147 @@ TEST(CongestionFixture, HandBuiltRunReproducedLinkByLink) {
   }
 }
 
-// ---- Link-decomposition identity on every Table-1 algorithm ----------------
+// ---- Link identity and derived per-cell load, algorithm by algorithm ------
+
+/// The hop-by-hop per-processor walk: one unit of load at the start cell,
+/// then one at every cell each unit step enters, rows first. An
+/// independent oracle for LoadMap, whose per-cell view is derived from
+/// the link map instead; the queries below restate LoadMap's documented
+/// semantics over this walk's ordered map.
+class ReferenceLoadWalk final : public TraceSink {
+ public:
+  void on_message(Coord from, Coord to, index_t distance) override {
+    (void)distance;
+    ++messages;
+    Coord cur = from;
+    bump(cur);
+    while (cur.row != to.row) {
+      cur.row += to.row > cur.row ? 1 : -1;
+      bump(cur);
+    }
+    while (cur.col != to.col) {
+      cur.col += to.col > cur.col ? 1 : -1;
+      bump(cur);
+    }
+  }
+
+  /// Touched cells with their load, descending by load, ties by (row, col).
+  [[nodiscard]] std::vector<std::pair<Coord, index_t>> ranked() const {
+    std::vector<std::pair<Coord, index_t>> all;
+    for (const auto& [cell, count] : load) {
+      all.push_back({Coord{cell.first, cell.second}, count});
+    }
+    std::stable_sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
+      return a.second > b.second;
+    });
+    return all;
+  }
+
+  [[nodiscard]] index_t total() const {
+    index_t sum = 0;
+    for (const auto& [cell, count] : load) sum += count;
+    return sum;
+  }
+
+  [[nodiscard]] index_t percentile(double p) const {
+    std::vector<index_t> values;
+    for (const auto& [cell, count] : load) values.push_back(count);
+    std::sort(values.begin(), values.end());
+    const auto rank = std::max<std::size_t>(
+        1, static_cast<std::size_t>(
+               std::ceil(p / 100.0 * static_cast<double>(values.size()))));
+    return values[rank - 1];
+  }
+
+  [[nodiscard]] double imbalance() const {
+    const double n = static_cast<double>(load.size());
+    const double mean = static_cast<double>(total()) / n;
+    double var = 0.0;
+    for (const auto& [cell, count] : load) {
+      var += (static_cast<double>(count) - mean) *
+             (static_cast<double>(count) - mean);
+    }
+    return std::sqrt(var / n) / mean;
+  }
+
+  [[nodiscard]] std::string heatmap(index_t max_side) const {
+    index_t r0 = load.begin()->first.first;
+    index_t r1 = load.rbegin()->first.first;
+    index_t c0 = load.begin()->first.second;
+    index_t c1 = c0;
+    for (const auto& [cell, count] : load) {
+      c0 = std::min(c0, cell.second);
+      c1 = std::max(c1, cell.second);
+    }
+    const index_t rows = r1 - r0 + 1;
+    const index_t cols = c1 - c0 + 1;
+    const index_t bucket = (std::max(rows, cols) + max_side - 1) / max_side;
+    const index_t out_cols = (cols + bucket - 1) / bucket;
+    std::map<std::pair<index_t, index_t>, index_t> grid;
+    index_t peak = 1;
+    for (const auto& [cell, count] : load) {
+      index_t& v = grid[{(cell.first - r0) / bucket,
+                         (cell.second - c0) / bucket}];
+      v = std::max(v, count);
+      peak = std::max(peak, v);
+    }
+    std::ostringstream os;
+    os << "load heatmap (" << rows << "x" << cols << " cells, bucket "
+       << bucket << "x" << bucket << ", peak " << peak << ")\n";
+    for (index_t r = 0; r < (rows + bucket - 1) / bucket; ++r) {
+      for (index_t c = 0; c < out_cols; ++c) {
+        const auto it = grid.find({r, c});
+        const index_t v = it == grid.end() ? 0 : it->second;
+        const auto level = static_cast<std::size_t>(
+            static_cast<double>(v) / static_cast<double>(peak) * 9.0);
+        os << " .:-=+*#%@"[std::min<std::size_t>(9, level)];
+      }
+      os << "\n";
+    }
+    return os.str();
+  }
+
+  std::map<std::pair<index_t, index_t>, index_t> load;
+  index_t messages{0};
+
+ private:
+  void bump(Coord c) { ++load[{c.row, c.col}]; }
+};
+
+/// Every per-cell query of `lm` against the reference walk of the same
+/// stream.
+void expect_matches_reference(const LoadMap& lm, const ReferenceLoadWalk& ref) {
+  ASSERT_FALSE(ref.load.empty());
+  EXPECT_EQ(lm.messages(), ref.messages);
+  for (const auto& [cell, count] : ref.load) {
+    ASSERT_EQ(lm.load_at(Coord{cell.first, cell.second}), count)
+        << "(" << cell.first << "," << cell.second << ")";
+  }
+  EXPECT_EQ(lm.total_load(), ref.total());
+  const auto ranked = ref.ranked();
+  EXPECT_EQ(lm.max_load(), ranked.front().second);
+  for (const std::size_t k : {std::size_t{1}, std::size_t{5},
+                              std::numeric_limits<std::size_t>::max()}) {
+    const auto n = static_cast<std::ptrdiff_t>(std::min(k, ranked.size()));
+    const std::vector<std::pair<Coord, index_t>> want(ranked.begin(),
+                                                      ranked.begin() + n);
+    EXPECT_EQ(lm.hotspots(k), want) << "k = " << k;
+  }
+  for (const double p : {0.0, 50.0, 95.0, 99.0, 100.0}) {
+    EXPECT_EQ(lm.percentile(p), ref.percentile(p)) << "p = " << p;
+  }
+  // A floating-point sum over cells: equal up to summation order.
+  EXPECT_NEAR(lm.imbalance(), ref.imbalance(), 1e-12 * ref.imbalance());
+  EXPECT_EQ(lm.heatmap(), ref.heatmap(32));
+}
 
 void expect_link_identity(const std::function<void(Machine&)>& algorithm) {
   Machine m;
   CongestionMap cm;
-  m.set_trace(&cm);
+  LoadMap lm;
+  ReferenceLoadWalk ref;
+  FanoutSink fanout({&cm, &lm, &ref});
+  m.set_trace(&fanout);
   algorithm(m);
   m.set_trace(nullptr);
   // A run that charged nothing would make the identity vacuous.
@@ -163,6 +310,8 @@ void expect_link_identity(const std::function<void(Machine&)>& algorithm) {
   EXPECT_EQ(link_sum(cm), m.metrics().energy);
   EXPECT_GE(cm.congested_clock(), cm.max_link_load());
   EXPECT_GT(cm.max_link_load(), 0);
+  // Per-cell load is link traffic into the cell plus messages leaving it.
+  expect_matches_reference(lm, ref);
 }
 
 TEST(CongestionIdentity, Scan) {
@@ -231,6 +380,24 @@ TEST(CongestionIdentity, AnnounceRetire) {
     auto b = route_permutation(m, a, a.region(), Layout::kRowMajor);
     a.retire(m);
     b.retire(m);
+  });
+}
+
+TEST(CongestionIdentity, TreeEulerTourAndLca) {
+  // The tree tier's LCA walks send scalar messages between the bulk
+  // rounds of the tour.
+  testing::Rng rng(0x7EE);
+  const index_t n = 48;
+  const tree::Tree t{
+      n, testing::gen_tree(rng, n, testing::TreeShape::kRandomPrufer), 0};
+  const tree::DenseTree dt = tree::normalize(t);
+  std::vector<std::pair<index_t, index_t>> queries;
+  for (index_t i = 0; i < n / 2; ++i) {
+    queries.emplace_back(rng.uniform(0, n - 1), rng.uniform(0, n - 1));
+  }
+  expect_link_identity([&](Machine& m) {
+    const tree::EulerTour tour = tree::euler_tour(m, dt, {0, 0});
+    (void)tree::lca(m, dt, tour, queries, {0, 0});
   });
 }
 
@@ -355,6 +522,33 @@ TEST(CongestionReset, ClearDropsDataButOpenScopesKeepAttributing) {
   EXPECT_EQ(cm.occupancy(Link{{3, 3}, {4, 3}}), 1);
 }
 
+TEST(CongestionReset, LoadMapAccumulatesAcrossResetAndSkipsFreeBulkEntries) {
+  // LoadMap ignores on_reset, so it accumulates across Machine::reset
+  // while the CongestionMap beside it starts over.
+  Machine m;
+  CongestionMap cm;
+  LoadMap lm;
+  FanoutSink fanout({&cm, &lm});
+  m.set_trace(&fanout);
+  (void)m.send({0, 0}, {0, 2}, Clock{});
+  m.reset();
+  (void)m.send({1, 0}, {1, 1}, Clock{});
+  m.set_trace(nullptr);
+  EXPECT_EQ(cm.messages(), 1);
+  EXPECT_EQ(lm.messages(), 2);
+  EXPECT_EQ(lm.total_load(), 3 + 2);
+  EXPECT_EQ(lm.load_at({0, 2}), 1);
+
+  // Zero-length entries of a batch are free: no message, no load.
+  std::vector<MessageEvent> batch(2);
+  batch[0] = MessageEvent{{5, 5}, {5, 5}, 0, Clock{}, Clock{}};
+  batch[1] = MessageEvent{{5, 5}, {6, 5}, 1, Clock{}, Clock{}};
+  lm.on_send_bulk(batch);
+  EXPECT_EQ(lm.messages(), 3);
+  EXPECT_EQ(lm.load_at({5, 5}), 1);
+  EXPECT_EQ(lm.load_at({6, 5}), 1);
+}
+
 // ---- Exporters -------------------------------------------------------------
 
 TEST(CongestionExport, AsciiReportAndHeatmapSummarizeTheRun) {
@@ -379,6 +573,21 @@ TEST(CongestionExport, AsciiReportAndHeatmapSummarizeTheRun) {
   const std::string map = cm.heatmap();
   EXPECT_NE(map.find("peak 2"), std::string::npos) << map;
   EXPECT_NE(map.find('@'), std::string::npos) << map;  // the peak cell
+}
+
+TEST(CongestionExport, HeatmapSideBelowOneRendersOneBucket) {
+  // A side below 1 counts as 1: the whole bounding box becomes one
+  // bucket at the top level, for both sinks' shared renderer.
+  CongestionMap cm;
+  LoadMap lm;
+  cm.on_message({0, 0}, {0, 2}, 2);
+  lm.on_message({0, 0}, {0, 2}, 2);
+  EXPECT_EQ(cm.heatmap(0),
+            "link heatmap (1x2 cells, max outgoing-link load, bucket 2x2, "
+            "peak 1)\n@\n");
+  EXPECT_EQ(lm.heatmap(0), "load heatmap (1x3 cells, bucket 3x3, peak 1)\n@\n");
+  EXPECT_EQ(cm.heatmap(-4), cm.heatmap(1));
+  EXPECT_EQ(lm.heatmap(-4), lm.heatmap(1));
 }
 
 TEST(CongestionExport, ChromeCounterTrackParsesAndEndsAtFinalValues) {
@@ -474,16 +683,124 @@ TEST(CongestionExport, ProfilerReportCarriesSchemaV3CongestionSection) {
 
 TEST(CongestionExport, DisabledSinkReportsEnabledFalse) {
   Machine m;
-  Profiler p;  // default options: no congestion map
+  Profiler p;  // default options: no congestion map, no load map
   m.set_trace(&p);
   (void)m.send({0, 0}, {0, 1}, Clock{});
   m.set_trace(nullptr);
   EXPECT_EQ(p.congestion(), nullptr);
+  EXPECT_EQ(p.load_map(), nullptr);
   const auto doc = util::json::parse(p.json_report());
   ASSERT_TRUE(doc.has_value());
   const util::json::Value* cong = doc->find("congestion");
   ASSERT_NE(cong, nullptr);
   EXPECT_FALSE(cong->find("enabled")->boolean);
+  const util::json::Value* load = doc->find("load");
+  ASSERT_NE(load, nullptr);
+  EXPECT_FALSE(load->find("enabled")->boolean);
+}
+
+TEST(CongestionExport, ProfilerOptionCombinationsMatchStandaloneSinks) {
+  // Every load_map x congestion combination: each accessor and report
+  // section exists exactly when its option is on, and carries the same
+  // numbers as a standalone sink attached beside the Profiler.
+  const auto v = random_doubles(13, 256);
+  for (const bool load_map : {false, true}) {
+    for (const bool congestion : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "load_map " << load_map
+                                        << ", congestion " << congestion);
+      Machine m;
+      Profiler p(Profiler::Options{.load_map = load_map,
+                                   .congestion = congestion});
+      LoadMap lm;
+      CongestionMap cm;
+      FanoutSink fanout({&p, &lm, &cm});
+      m.set_trace(&fanout);
+      auto a =
+          GridArray<double>::from_values_square({0, 0}, v, Layout::kRowMajor);
+      (void)mergesort2d(m, a);  // nested phases, bulk and scalar traffic
+      m.set_trace(nullptr);
+
+      ASSERT_EQ(p.load_map() != nullptr, load_map);
+      ASSERT_EQ(p.congestion() != nullptr, congestion);
+      const auto doc = util::json::parse(p.json_report());
+      ASSERT_TRUE(doc.has_value());
+      const util::json::Value* load = doc->find("load");
+      const util::json::Value* cong = doc->find("congestion");
+      ASSERT_NE(load, nullptr);
+      ASSERT_NE(cong, nullptr);
+      EXPECT_EQ(load->find("enabled")->boolean, load_map);
+      EXPECT_EQ(cong->find("enabled")->boolean, congestion);
+
+      if (load_map) {
+        const LoadMap& mine = *p.load_map();
+        EXPECT_EQ(mine.messages(), lm.messages());
+        EXPECT_EQ(mine.total_load(), lm.total_load());
+        EXPECT_EQ(mine.hotspots(std::numeric_limits<std::size_t>::max()),
+                  lm.hotspots(std::numeric_limits<std::size_t>::max()));
+        EXPECT_EQ(mine.heatmap(), lm.heatmap());
+        const auto number = [&](const char* key) {
+          return static_cast<index_t>(load->find(key)->number);
+        };
+        EXPECT_EQ(number("messages"), lm.messages());
+        EXPECT_EQ(number("total_load"), lm.total_load());
+        EXPECT_EQ(number("max_load"), lm.max_load());
+        EXPECT_EQ(number("p50"), lm.percentile(50.0));
+        EXPECT_EQ(number("p95"), lm.percentile(95.0));
+        EXPECT_EQ(number("p99"), lm.percentile(99.0));
+        std::ostringstream imbalance;
+        imbalance << lm.imbalance();
+        EXPECT_EQ(load->find("imbalance")->number,
+                  std::stod(imbalance.str()));
+        const auto spots = lm.hotspots(5);
+        const auto& shown = load->find("hotspots")->array;
+        ASSERT_EQ(shown.size(), spots.size());
+        for (std::size_t i = 0; i < spots.size(); ++i) {
+          EXPECT_EQ(static_cast<index_t>(shown[i].find("load")->number),
+                    spots[i].second);
+          EXPECT_EQ(static_cast<index_t>(shown[i].find("at")->array[0].number),
+                    spots[i].first.row);
+          EXPECT_EQ(static_cast<index_t>(shown[i].find("at")->array[1].number),
+                    spots[i].first.col);
+        }
+      }
+      if (congestion) {
+        const CongestionMap& mine = *p.congestion();
+        EXPECT_EQ(mine.messages(), cm.messages());
+        EXPECT_EQ(mine.sorted_links(), cm.sorted_links());
+        EXPECT_EQ(mine.congested_clock(), cm.congested_clock());
+        EXPECT_EQ(mine.chrome_counter_json(), cm.chrome_counter_json());
+        const auto want = cm.phase_congestion();
+        const auto got = mine.phase_congestion();
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ(got[i].phase, want[i].phase);
+          EXPECT_EQ(got[i].occupancy, want[i].occupancy);
+          EXPECT_EQ(got[i].links, want[i].links);
+          EXPECT_EQ(got[i].peak, want[i].peak);
+        }
+        const auto number = [&](const char* key) {
+          return static_cast<index_t>(cong->find(key)->number);
+        };
+        EXPECT_EQ(number("messages"), cm.messages());
+        EXPECT_EQ(number("links"), cm.links());
+        EXPECT_EQ(number("total_occupancy"), cm.total_occupancy());
+        EXPECT_EQ(number("max_link_load"), cm.max_link_load());
+        EXPECT_EQ(number("congested_clock"), cm.congested_clock());
+        EXPECT_EQ(number("p95"), cm.percentile(95.0));
+        EXPECT_EQ(cong->find("phases")->array.size(), want.size());
+      }
+
+      // The congestion counter track rides the Chrome phase trace exactly
+      // when the congestion section is on.
+      const auto trace = util::json::parse(p.chrome_trace_json());
+      ASSERT_TRUE(trace.has_value());
+      int counters = 0;
+      for (const util::json::Value& e : trace->find("traceEvents")->array) {
+        if (e.find("ph")->string == "C") ++counters;
+      }
+      EXPECT_EQ(counters > 0, congestion);
+    }
+  }
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
 // Unit tests for the sharded parallel execution engine
 // (src/spatial/parallel.*): tiling arithmetic, deterministic shard-merge,
 // engine-vs-serial bit-identity, the inline independence guard's safe
-// downgrade, and the sharded observability sinks against their serial
-// counterparts. The end-to-end three-way proof over every Table-1
-// algorithm lives in tests/test_bulk_equivalence.cpp; these tests pin the
-// individual mechanisms.
+// downgrade, and the sharded congestion sink against the serial one. The
+// end-to-end three-way proof over every Table-1 algorithm lives in
+// tests/test_bulk_equivalence.cpp; these tests pin the individual
+// mechanisms.
 #include "spatial/parallel.hpp"
 
 #include "core/scm.hpp"
@@ -22,7 +22,6 @@
 #include <algorithm>
 #include <cstdlib>
 #include <map>
-#include <memory>
 #include <numeric>
 #include <random>
 #include <span>
@@ -449,39 +448,6 @@ TEST(ShardedCongestion, ResetPreservesPhaseStackLikeSerial) {
   EXPECT_EQ(sharded.messages(), 1);
   EXPECT_EQ(sharded.phase_peak(pa), serial.phase_peak(pa));
   EXPECT_GT(sharded.phase_peak(pa), 0);
-}
-
-TEST(ShardedLoad, MatchesSerialLoadMap) {
-  for (const bool with_engine : {false, true}) {
-    const Config cfg = small_config(4, 8, 8);
-    std::unique_ptr<ScopedParallelEngine> scoped;
-    if (with_engine) scoped = std::make_unique<ScopedParallelEngine>(cfg);
-    LoadMap serial;
-    parallel::ShardedLoadMap sharded(cfg);
-    drive_stream(serial);
-    drive_stream(sharded);
-    if (with_engine) {
-      EXPECT_GE(sharded.parallel_batches(), 2u);
-    }
-    EXPECT_EQ(serial.messages(), sharded.messages());
-    EXPECT_EQ(serial.total_load(), sharded.total_load());
-    EXPECT_EQ(serial.max_load(), sharded.max_load());
-    // Per-cell identity over every touched cell, both directions: the
-    // sharded sorted_loads() set must be exactly the serial per-cell map.
-    const auto cells = sharded.sorted_loads();
-    EXPECT_EQ(static_cast<index_t>(cells.size()), sharded.touched_cells());
-    index_t sum = 0;
-    for (const auto& [cell, load] : cells) {
-      ASSERT_EQ(load, serial.load_at(cell))
-          << "(" << cell.row << "," << cell.col << ")";
-      ASSERT_GT(load, 0);
-      sum += load;
-    }
-    EXPECT_EQ(sum, serial.total_load());
-    // Distance-0 messages bump their single cell (inclusive endpoints).
-    EXPECT_GE(serial.load_at({-3, -7}), 1);
-    EXPECT_EQ(sharded.load_at({-3, -7}), serial.load_at({-3, -7}));
-  }
 }
 
 // ---- phases() caching (satellite: Machine::phases materialization) --------

@@ -1,5 +1,5 @@
 // Tests of the network-load tracing module.
-#include "spatial/trace.hpp"
+#include "spatial/congestion.hpp"
 
 #include "collectives/baselines.hpp"
 #include "collectives/scan.hpp"
