@@ -167,30 +167,36 @@ void IndependenceChecker::on_send_bulk(
   if (charged == 0) return;
 
   const bool exempt = ScopedUnorderedDelivery::active();
-  {
-    PhaseFootprint& fp = report_.per_phase[current_phase()];
-    ++fp.batches;
-    fp.bulk_messages += charged;
-    fp.max_batch = std::max(fp.max_batch, charged);
-    if (exempt) ++fp.exempted_batches;
-    ++report_.batches;
-    report_.bulk_messages += charged;
-    if (exempt) ++report_.exempted_batches;
-  }
+  PhaseFootprint& fp = report_.per_phase[current_phase()];
+  ++fp.batches;
+  fp.bulk_messages += charged;
+  fp.max_batch = std::max(fp.max_batch, charged);
+  if (exempt) ++fp.exempted_batches;
+  ++report_.batches;
+  report_.bulk_messages += charged;
+  if (exempt) ++report_.exempted_batches;
 
+  // Collect only the cells that break one of the rules below, so a clean
+  // batch sorts nothing.
+  std::vector<std::pair<Coord, Degrees>> flagged;
+  for (const auto& [c, d] : deg) {
+    report_.max_fan_in = std::max(report_.max_fan_in, d.in);
+    fp.max_fan_in = std::max(fp.max_fan_in, d.in);
+    if ((d.in >= 2 && !exempt) ||
+        (d.in >= 1 && d.out >= 1 &&
+         (d.in >= 2 || d.out >= 2 || dead_.contains(c)))) {
+      flagged.emplace_back(c, d);
+    }
+  }
   // Deterministic reports: visit conflicted cells in coordinate order
   // (the degree map's iteration order is not stable across platforms).
-  std::vector<std::pair<Coord, Degrees>> cells(deg.begin(), deg.end());
-  std::sort(cells.begin(), cells.end(),
+  std::sort(flagged.begin(), flagged.end(),
             [](const auto& a, const auto& b) {
               return a.first.row != b.first.row
                          ? a.first.row < b.first.row
                          : a.first.col < b.first.col;
             });
-  for (const auto& [c, d] : cells) {
-    report_.max_fan_in = std::max(report_.max_fan_in, d.in);
-    PhaseFootprint& fp = report_.per_phase[current_phase()];
-    fp.max_fan_in = std::max(fp.max_fan_in, d.in);
+  for (const auto& [c, d] : flagged) {
     if (d.in >= 2 && !exempt) {
       std::ostringstream os;
       os << d.in << " of " << charged

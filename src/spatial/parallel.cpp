@@ -119,7 +119,7 @@ bool Engine::charge_send_bulk(std::span<MessageEvent> batch,
   }
   if (n > std::numeric_limits<std::uint32_t>::max()) return false;
   const int threads = config_.threads;
-  const bool guard_on = config_.guard && !ScopedUnorderedDelivery::active();
+  const bool guard_on = !ScopedUnorderedDelivery::active();
   ++epoch_;
   if (epoch_ == 0) {  // wrap: stale stamps could alias, drop them all
     for (auto& m : guard_) m.clear();

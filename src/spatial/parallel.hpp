@@ -67,12 +67,13 @@ namespace scm::parallel {
 /// Engine configuration. Tile sides are rounded up to powers of two so
 /// tile lookup is a shift/mask (C++20 two's-complement semantics make the
 /// arithmetic shift a floor division, correct for negative coordinates).
+/// The inline write-write guard always runs; only a ScopedUnorderedDelivery
+/// scope exempts a batch from it.
 struct Config {
   int threads{1};           ///< <= 1 means the engine is disabled (scalar)
   index_t tile_rows{64};    ///< tile height, rounded up to a power of two
   index_t tile_cols{64};    ///< tile width, rounded up to a power of two
   index_t min_parallel_batch{8192};  ///< smaller batches stay scalar
-  bool guard{true};  ///< inline write-write independence guard on/off
 
   friend bool operator==(const Config&, const Config&) = default;
 };

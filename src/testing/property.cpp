@@ -15,10 +15,13 @@
 #include "sort/permute.hpp"
 #include "sort/rank_select_sorted.hpp"
 #include "spmv/spmv.hpp"
+#include "testing/oracles.hpp"
 
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <functional>
+#include <ostream>
 #include <sstream>
 
 namespace scm::testing {
@@ -29,6 +32,24 @@ double CaseOutcome::budget(const std::string& metric) const {
   }
   return -1.0;
 }
+
+namespace {
+
+/// Appends " name=[x0<sep>x1...]", each element written by `put`, when
+/// `show` holds and `xs` is non-empty.
+template <class T, class Put>
+void dump_list(std::ostream& os, bool show, const char* name, const char* sep,
+               const std::vector<T>& xs, Put put) {
+  if (!show || xs.empty()) return;
+  os << " " << name << "=[";
+  for (size_t i = 0; i < xs.size(); ++i) {
+    os << (i ? sep : "");
+    put(os, xs[i]);
+  }
+  os << "]";
+}
+
+}  // namespace
 
 std::string CaseInput::str() const {
   std::ostringstream os;
@@ -47,43 +68,19 @@ std::string CaseInput::str() const {
   if (tree_shape != TreeShape::kNone) {
     os << " tree=" << to_string(tree_shape);
   }
-  if (n <= 16 && !keys.empty()) {
-    os << " keys=[";
-    for (size_t i = 0; i < keys.size(); ++i) {
-      os << (i ? "," : "") << keys[i];
-    }
-    os << "]";
-  }
-  if (n <= 16 && !perm.empty()) {
-    os << " perm=[";
-    for (size_t i = 0; i < perm.size(); ++i) {
-      os << (i ? "," : "") << perm[i];
-    }
-    os << "]";
-  }
-  if (n <= 16 && !flags.empty()) {
-    os << " flags=[";
-    for (size_t i = 0; i < flags.size(); ++i) {
-      os << (i ? "," : "") << (flags[i] ? 1 : 0);
-    }
-    os << "]";
-  }
-  if (triples.size() <= 16 && !triples.empty()) {
-    os << " triples=[";
-    for (size_t i = 0; i < triples.size(); ++i) {
-      os << (i ? " " : "") << "(" << triples[i].row << "," << triples[i].col
-         << "," << triples[i].value << ")";
-    }
-    os << "]";
-  }
-  if (edges.size() <= 16 && !edges.empty()) {
-    os << " edges=[";
-    for (size_t i = 0; i < edges.size(); ++i) {
-      os << (i ? " " : "") << "(" << edges[i].first << "," << edges[i].second
-         << ")";
-    }
-    os << "]";
-  }
+  const auto plain = [](std::ostream& o, const auto& x) { o << x; };
+  dump_list(os, n <= 16, "keys", ",", keys, plain);
+  dump_list(os, n <= 16, "perm", ",", perm, plain);
+  dump_list(os, n <= 16, "flags", ",", flags,
+            [](std::ostream& o, char f) { o << (f ? 1 : 0); });
+  dump_list(os, triples.size() <= 16, "triples", " ", triples,
+            [](std::ostream& o, const Triple& t) {
+              o << "(" << t.row << "," << t.col << "," << t.value << ")";
+            });
+  dump_list(os, edges.size() <= 16, "edges", " ", edges,
+            [](std::ostream& o, const std::pair<index_t, index_t>& e) {
+              o << "(" << e.first << "," << e.second << ")";
+            });
   return os.str();
 }
 
@@ -105,40 +102,10 @@ GridArray<std::int64_t> make_keys_array(const CaseInput& in) {
                                               in.keys);
 }
 
-double log2ceil(index_t n) {
-  index_t bits = 0;
-  index_t v = 1;
-  while (v < std::max<index_t>(n, 1)) {
-    v <<= 1;
-    ++bits;
-  }
-  return static_cast<double>(bits);
-}
-
 index_t floor_pow2(index_t n) {
   index_t v = 1;
   while (2 * v <= n) v *= 2;
   return v;
-}
-
-/// "index i: got G want W (...)" mismatch formatting for vector oracles.
-template <class T>
-std::string vec_mismatch(const char* what, const std::vector<T>& got,
-                         const std::vector<T>& want) {
-  std::ostringstream os;
-  os << what << ": ";
-  if (got.size() != want.size()) {
-    os << "size " << got.size() << " want " << want.size();
-    return os.str();
-  }
-  for (size_t i = 0; i < got.size(); ++i) {
-    if (!(got[i] == want[i])) {
-      os << "index " << i << ": got " << got[i] << " want " << want[i];
-      return os.str();
-    }
-  }
-  os << "no difference";
-  return os.str();
 }
 
 bool geometry_fits(const CaseInput& in) {
@@ -159,6 +126,11 @@ struct ReplayCost {
   double energy{0};
   double depth{0};     // number of communication rounds
   double distance{0};  // sum over rounds of the round's largest hop
+
+  /// The replay as the instance's budgets.
+  [[nodiscard]] std::vector<std::pair<std::string, double>> budgets() const {
+    return {{"energy", energy}, {"depth", depth}, {"distance", distance}};
+  }
 };
 
 /// Replays the bitonic sorting network of bitonic_sort_any over the padded
@@ -278,83 +250,102 @@ bool valid_keys_case(const CaseInput& in) {
          geometry_fits(in);
 }
 
-Property make_bitonic() {
+bool z_order(const CaseInput& in) { return in.geom.zorder; }
+
+using KeyArray = GridArray<std::int64_t>;
+
+/// A property over one int64 key array, assembled by keys_property. Its
+/// cases come from gen_keys_case on `geoms` at a size clamped to max_n,
+/// must pass valid_keys_case, and run with out.size = n and the keys
+/// placed on the case geometry. A property sets only the hooks where it
+/// differs.
+struct KeysCase {
+  std::string name;
+  index_t min_n{2};
+  index_t max_n{256};
+  std::vector<GeomKind> geoms = kAllGeoms;
+  /// Draws made after the keys (flags, a rank, a seed); null = none.
+  std::function<void(Rng&, CaseInput&)> draw{};
+  /// A predicate on top of valid_keys_case; null = none.
+  std::function<bool(const CaseInput&)> valid{};
+  std::function<void(CaseInput&)> rebuild{};
+  /// The algorithm and its oracles; fills `out` after the preamble.
+  std::function<void(Machine&, const CaseInput&, const KeyArray&,
+                     CaseOutcome&)>
+      run{};
+};
+
+Property keys_property(KeysCase spec) {
   Property p;
-  p.name = "bitonic_sort";
-  p.min_n = 2;
-  p.max_n = 256;
-  p.generate = [](Rng& rng, index_t n) {
-    return gen_keys_case(rng, n, kAllGeoms);
+  p.name = std::move(spec.name);
+  p.min_n = spec.min_n;
+  p.max_n = spec.max_n;
+  p.generate = [max_n = spec.max_n, geoms = std::move(spec.geoms),
+                draw = std::move(spec.draw)](Rng& rng, index_t n) {
+    CaseInput in = gen_keys_case(rng, std::min(n, max_n), geoms);
+    if (draw) draw(rng, in);
+    return in;
   };
-  p.valid = valid_keys_case;
-  p.run = [](Machine& m, const CaseInput& in) {
+  p.valid = [valid = std::move(spec.valid)](const CaseInput& in) {
+    return valid_keys_case(in) && (!valid || valid(in));
+  };
+  p.rebuild = std::move(spec.rebuild);
+  p.run = [run = std::move(spec.run)](Machine& m, const CaseInput& in) {
     CaseOutcome out;
     out.size = in.n;
-    const GridArray<std::int64_t> a = make_keys_array(in);
-    const GridArray<std::int64_t> sorted =
-        bitonic_sort_any(m, a, std::less<>{});
-    std::vector<std::int64_t> want = in.keys;
-    std::sort(want.begin(), want.end());
-    const std::vector<std::int64_t> got = sorted.values();
-    if (got != want) {
-      out.ok = false;
-      out.failure = vec_mismatch("bitonic_sort output not sorted", got, want);
-      return out;
-    }
-    const ReplayCost cost = replay_bitonic(in);
-    out.budgets = {{"energy", cost.energy},
-                   {"depth", cost.depth},
-                   {"distance", cost.distance}};
+    run(m, in, make_keys_array(in), out);
     return out;
   };
   return p;
 }
 
+Property make_bitonic() {
+  return keys_property(
+      {.name = "bitonic_sort",
+       .run = [](Machine& m, const CaseInput& in, const KeyArray& a,
+                 CaseOutcome& out) {
+         const KeyArray sorted = bitonic_sort_any(m, a, std::less<>{});
+         if (!expect_sorted(out, "bitonic_sort output not sorted",
+                            sorted.values(), in.keys)) {
+           return;
+         }
+         out.budgets = replay_bitonic(in).budgets();
+       }});
+}
+
 Property make_mergesort2d() {
-  Property p;
-  p.name = "mergesort2d";
-  p.min_n = 2;
-  p.max_n = 256;
-  p.generate = [](Rng& rng, index_t n) {
-    return gen_keys_case(rng, n, kAllGeoms);
-  };
-  p.valid = valid_keys_case;
-  p.run = [](Machine& m, const CaseInput& in) {
-    CaseOutcome out;
-    out.size = in.n;
-    const GridArray<std::int64_t> a = make_keys_array(in);
-    const GridArray<std::int64_t> sorted = mergesort2d(m, a);
-    std::vector<std::int64_t> want = in.keys;
-    std::sort(want.begin(), want.end());
-    const std::vector<std::int64_t> got = sorted.values();
-    if (got != want) {
-      out.ok = false;
-      out.failure = vec_mismatch("mergesort2d output not sorted", got, want);
-      return out;
-    }
-    const auto n = static_cast<double>(in.n);
-    // Route distance from the input geometry to the canonical square at the
-    // same origin, plus the sort itself. The budget carries Theorem V.8's
-    // Theta(n^{3/2}) shape, which the implementation now achieves: measured
-    // e/n^{3/2} is flat (~9-11 for n in [48, 1024], a power-of-4
-    // quantization sawtooth with no trend) since the Lemma V.6 multiselect
-    // shares one sample All-Pairs-Sort across each merge node's three split
-    // ranks and the per-rank window is resolved by a walking binary search
-    // instead of a second All-Pairs-Sort. (An earlier revision paid three
-    // full rank selections per node whose window sorts fitted to n^1.96;
-    // its certificate pinned an n^2 budget term here.) The n * lg term
-    // absorbs the per-level routing/broadcast work of the deeper
-    // base-size-8 recursion at small n.
-    const double d = static_cast<double>(in.geom.region.diameter()) +
-                     2.0 * static_cast<double>(square_side_for(in.n));
-    const double lg = log2ceil(in.n) + 1;
-    out.budgets = {{"energy", std::pow(n, 1.5) + n * lg + n * (d + 1) + n},
-                   {"depth", lg * lg * lg + 4},
-                   {"distance", d + 4 * static_cast<double>(
-                                        square_side_for(in.n)) + 4}};
-    return out;
-  };
-  return p;
+  return keys_property(
+      {.name = "mergesort2d",
+       .run = [](Machine& m, const CaseInput& in, const KeyArray& a,
+                 CaseOutcome& out) {
+         const KeyArray sorted = mergesort2d(m, a);
+         if (!expect_sorted(out, "mergesort2d output not sorted",
+                            sorted.values(), in.keys)) {
+           return;
+         }
+         const auto n = static_cast<double>(in.n);
+         // Route distance from the input geometry to the canonical square
+         // at the same origin, plus the sort itself. The budget carries
+         // Theorem V.8's Theta(n^{3/2}) shape, which the implementation
+         // now achieves: measured e/n^{3/2} is flat (~9-11 for n in
+         // [48, 1024], a power-of-4 quantization sawtooth with no trend)
+         // since the Lemma V.6 multiselect shares one sample
+         // All-Pairs-Sort across each merge node's three split ranks and
+         // the per-rank window is resolved by a walking binary search
+         // instead of a second All-Pairs-Sort. (An earlier revision paid
+         // three full rank selections per node whose window sorts fitted
+         // to n^1.96; its certificate pinned an n^2 budget term here.) The
+         // n * lg term absorbs the per-level routing/broadcast work of the
+         // deeper base-size-8 recursion at small n.
+         const double d = static_cast<double>(in.geom.region.diameter()) +
+                          2.0 * static_cast<double>(square_side_for(in.n));
+         const double lg = log2ceil(in.n) + 1;
+         out.budgets = {
+             {"energy", std::pow(n, 1.5) + n * lg + n * (d + 1) + n},
+             {"depth", lg * lg * lg + 4},
+             {"distance",
+              d + 4 * static_cast<double>(square_side_for(in.n)) + 4}};
+       }});
 }
 
 Property make_permute() {
@@ -425,12 +416,11 @@ Property make_permute() {
     for (index_t i = 0; i < in.n; ++i) {
       const index_t dst = in.perm[static_cast<size_t>(i)];
       if (got[static_cast<size_t>(dst)] != in.keys[static_cast<size_t>(i)]) {
-        out.ok = false;
         std::ostringstream os;
         os << "permute: element " << i << " (key "
            << in.keys[static_cast<size_t>(i)] << ") missing at destination "
            << dst << " (found " << got[static_cast<size_t>(dst)] << ")";
-        out.failure = os.str();
+        fail(out, os.str());
         return out;
       }
     }
@@ -477,140 +467,87 @@ Property make_permute() {
 }
 
 Property make_scan(bool exclusive) {
-  Property p;
-  p.name = exclusive ? "exclusive_scan" : "scan";
-  p.min_n = 2;
-  p.max_n = 400;
-  p.generate = [](Rng& rng, index_t n) {
-    return gen_keys_case(rng, n, kZGeoms);
-  };
-  p.valid = [](const CaseInput& in) {
-    return valid_keys_case(in) && in.geom.zorder;
-  };
-  p.run = [exclusive](Machine& m, const CaseInput& in) {
-    CaseOutcome out;
-    out.size = in.n;
-    const GridArray<std::int64_t> a = make_keys_array(in);
-    const GridArray<std::int64_t> result =
-        exclusive ? exclusive_scan(m, a, Plus{}, std::int64_t{0})
-                  : scan(m, a, Plus{});
-    std::vector<std::int64_t> want(static_cast<size_t>(in.n));
-    std::int64_t acc = 0;
-    for (index_t i = 0; i < in.n; ++i) {
-      if (exclusive) {
-        want[static_cast<size_t>(i)] = acc;
-        acc += in.keys[static_cast<size_t>(i)];
-      } else {
-        acc += in.keys[static_cast<size_t>(i)];
-        want[static_cast<size_t>(i)] = acc;
-      }
-    }
-    const std::vector<std::int64_t> got = result.values();
-    if (got != want) {
-      out.ok = false;
-      out.failure = vec_mismatch("scan prefix mismatch", got, want);
-      return out;
-    }
-    // Lemma IV.3: O(n) energy, O(log n) depth, O(sqrt n) distance. Z-order
-    // nesting keeps the first ceil_pow4(n) curve positions inside an
-    // aligned subsquare, so underfilled big regions cost the same.
-    const auto n = static_cast<double>(in.n);
-    out.budgets = {{"energy", n + 4},
-                   {"depth", log2ceil(in.n) + 2},
-                   {"distance", 4.0 * (std::sqrt(n) + 1)}};
-    return out;
-  };
-  return p;
+  return keys_property(
+      {.name = exclusive ? "exclusive_scan" : "scan",
+       .max_n = 400,
+       .geoms = kZGeoms,
+       .valid = z_order,
+       .run = [exclusive](Machine& m, const CaseInput& in, const KeyArray& a,
+                          CaseOutcome& out) {
+         const KeyArray result =
+             exclusive ? exclusive_scan(m, a, Plus{}, std::int64_t{0})
+                       : scan(m, a, Plus{});
+         if (!expect_prefix(out, "scan prefix mismatch", result.values(),
+                            in.keys, exclusive)) {
+           return;
+         }
+         // Lemma IV.3: O(n) energy, O(log n) depth, O(sqrt n) distance.
+         // Z-order nesting keeps the first ceil_pow4(n) curve positions
+         // inside an aligned subsquare, so underfilled big regions cost the
+         // same.
+         const auto n = static_cast<double>(in.n);
+         out.budgets = {{"energy", n + 4},
+                        {"depth", log2ceil(in.n) + 2},
+                        {"distance", 4.0 * (std::sqrt(n) + 1)}};
+       }});
 }
 
 Property make_sequential_scan() {
-  Property p;
-  p.name = "sequential_scan";
-  p.min_n = 2;
-  p.max_n = 256;
-  p.generate = [](Rng& rng, index_t n) {
-    return gen_keys_case(rng, n, kZGeoms);
-  };
-  p.valid = [](const CaseInput& in) {
-    return valid_keys_case(in) && in.geom.zorder;
-  };
-  p.run = [](Machine& m, const CaseInput& in) {
-    CaseOutcome out;
-    out.size = in.n;
-    const GridArray<std::int64_t> a = make_keys_array(in);
-    const GridArray<std::int64_t> result = sequential_scan(m, a, Plus{});
-    std::vector<std::int64_t> want(static_cast<size_t>(in.n));
-    std::int64_t acc = 0;
-    for (index_t i = 0; i < in.n; ++i) {
-      acc += in.keys[static_cast<size_t>(i)];
-      want[static_cast<size_t>(i)] = acc;
-    }
-    const std::vector<std::int64_t> got = result.values();
-    if (got != want) {
-      out.ok = false;
-      out.failure = vec_mismatch("sequential_scan prefix mismatch", got, want);
-      return out;
-    }
-    // Exact replay of the curve walk (Observation 1): one hop per adjacent
-    // element pair, a single dependent chain.
-    double energy = 0;
-    for (index_t i = 1; i < in.n; ++i) {
-      energy += static_cast<double>(manhattan(a.coord(i - 1), a.coord(i)));
-    }
-    out.budgets = {{"energy", energy},
-                   {"depth", static_cast<double>(in.n - 1)},
-                   {"distance", energy}};
-    return out;
-  };
-  return p;
+  return keys_property(
+      {.name = "sequential_scan",
+       .geoms = kZGeoms,
+       .valid = z_order,
+       .run = [](Machine& m, const CaseInput& in, const KeyArray& a,
+                 CaseOutcome& out) {
+         const KeyArray result = sequential_scan(m, a, Plus{});
+         if (!expect_prefix(out, "sequential_scan prefix mismatch",
+                            result.values(), in.keys, /*exclusive=*/false)) {
+           return;
+         }
+         // Exact replay of the curve walk (Observation 1): one hop per
+         // adjacent element pair, a single dependent chain.
+         double energy = 0;
+         for (index_t i = 1; i < in.n; ++i) {
+           energy += static_cast<double>(manhattan(a.coord(i - 1), a.coord(i)));
+         }
+         out.budgets = {{"energy", energy},
+                        {"depth", static_cast<double>(in.n - 1)},
+                        {"distance", energy}};
+       }});
 }
 
 Property make_tree_scan_1d() {
-  Property p;
-  p.name = "tree_scan_1d";
-  p.min_n = 2;
-  p.max_n = 256;
-  p.generate = [](Rng& rng, index_t n) {
-    CaseInput in = gen_keys_case(
-        rng, floor_pow2(std::max<index_t>(n, 2)),
-        {GeomKind::kSquareZ, GeomKind::kSquareRow});
-    return in;
-  };
-  p.valid = [](const CaseInput& in) {
-    return valid_keys_case(in) && is_pow2(in.n);
-  };
-  p.rebuild = [](CaseInput& in) {
-    in.n = floor_pow2(std::max<index_t>(
-        std::min<index_t>(in.n, static_cast<index_t>(in.keys.size())), 1));
-    in.keys.resize(static_cast<size_t>(in.n));
-    in.geom = canonical_geometry(in.geom.kind, in.n);
-  };
-  p.run = [](Machine& m, const CaseInput& in) {
-    CaseOutcome out;
-    out.size = in.n;
-    const GridArray<std::int64_t> a = make_keys_array(in);
-    const GridArray<std::int64_t> result = tree_scan_1d(m, a, Plus{});
-    std::vector<std::int64_t> want(static_cast<size_t>(in.n));
-    std::int64_t acc = 0;
-    for (index_t i = 0; i < in.n; ++i) {
-      acc += in.keys[static_cast<size_t>(i)];
-      want[static_cast<size_t>(i)] = acc;
-    }
-    const std::vector<std::int64_t> got = result.values();
-    if (got != want) {
-      out.ok = false;
-      out.failure = vec_mismatch("tree_scan_1d prefix mismatch", got, want);
-      return out;
-    }
-    // Theta(n log n) energy in row-major (Section IV-C), O(n) in Z-order
-    // (the ablation); the n log n shape covers both.
-    const auto n = static_cast<double>(in.n);
-    const double lg = log2ceil(in.n) + 1;
-    out.budgets = {
-        {"energy", n * lg},
-        {"depth", 2 * lg},
-        {"distance", (std::sqrt(n) + 1) * lg}};
-    return out;
+  Property p = keys_property(
+      {.name = "tree_scan_1d",
+       .geoms = {GeomKind::kSquareZ, GeomKind::kSquareRow},
+       .valid = [](const CaseInput& in) { return is_pow2(in.n); },
+       .rebuild =
+           [](CaseInput& in) {
+             in.n = floor_pow2(std::max<index_t>(
+                 std::min<index_t>(in.n, static_cast<index_t>(in.keys.size())),
+                 1));
+             in.keys.resize(static_cast<size_t>(in.n));
+             in.geom = canonical_geometry(in.geom.kind, in.n);
+           },
+       .run = [](Machine& m, const CaseInput& in, const KeyArray& a,
+                 CaseOutcome& out) {
+         const KeyArray result = tree_scan_1d(m, a, Plus{});
+         if (!expect_prefix(out, "tree_scan_1d prefix mismatch",
+                            result.values(), in.keys, /*exclusive=*/false)) {
+           return;
+         }
+         // Theta(n log n) energy in row-major (Section IV-C), O(n) in
+         // Z-order (the ablation); the n log n shape covers both.
+         const auto n = static_cast<double>(in.n);
+         const double lg = log2ceil(in.n) + 1;
+         out.budgets = {{"energy", n * lg},
+                        {"depth", 2 * lg},
+                        {"distance", (std::sqrt(n) + 1) * lg}};
+       }});
+  // The tree needs a power-of-two size: round the target down before the
+  // keys are drawn.
+  p.generate = [keys_case = p.generate](Rng& rng, index_t n) {
+    return keys_case(rng, floor_pow2(std::max<index_t>(n, 2)));
   };
   return p;
 }
@@ -649,200 +586,153 @@ Property make_binomial_broadcast() {
     const std::vector<std::int64_t> got = result.values();
     for (size_t i = 0; i < got.size(); ++i) {
       if (got[i] != v) {
-        out.ok = false;
         std::ostringstream os;
         os << "binomial_broadcast: cell " << i << " holds " << got[i]
            << " want " << v;
-        out.failure = os.str();
+        fail(out, os.str());
         return out;
       }
     }
-    const ReplayCost cost = replay_binomial_broadcast(in.geom.region);
-    out.budgets = {{"energy", cost.energy},
-                   {"depth", cost.depth},
-                   {"distance", cost.distance}};
+    out.budgets = replay_binomial_broadcast(in.geom.region).budgets();
     return out;
   };
   return p;
 }
 
 Property make_binomial_reduce() {
-  Property p;
-  p.name = "binomial_reduce";
-  p.min_n = 2;
-  p.max_n = 300;
-  p.generate = [](Rng& rng, index_t n) {
-    return gen_keys_case(rng, n, kAllGeoms);
-  };
-  p.valid = valid_keys_case;
-  p.run = [](Machine& m, const CaseInput& in) {
-    CaseOutcome out;
-    out.size = in.n;
-    const GridArray<std::int64_t> a = make_keys_array(in);
-    const Cell<std::int64_t> total = binomial_reduce(m, a, Plus{});
-    std::int64_t want = 0;
-    for (const std::int64_t key : in.keys) want += key;
-    if (total.value != want) {
-      out.ok = false;
-      std::ostringstream os;
-      os << "binomial_reduce: got " << total.value << " want " << want;
-      out.failure = os.str();
-      return out;
-    }
-    const ReplayCost cost = replay_binomial_reduce(in);
-    out.budgets = {{"energy", cost.energy},
-                   {"depth", cost.depth},
-                   {"distance", cost.distance}};
-    return out;
-  };
-  return p;
+  return keys_property(
+      {.name = "binomial_reduce",
+       .max_n = 300,
+       .run = [](Machine& m, const CaseInput& in, const KeyArray& a,
+                 CaseOutcome& out) {
+         const Cell<std::int64_t> total = binomial_reduce(m, a, Plus{});
+         std::int64_t want = 0;
+         for (const std::int64_t key : in.keys) want += key;
+         if (total.value != want) {
+           std::ostringstream os;
+           os << "binomial_reduce: got " << total.value << " want " << want;
+           fail(out, os.str());
+           return;
+         }
+         out.budgets = replay_binomial_reduce(in).budgets();
+       }});
 }
 
 Property make_compact() {
-  Property p;
-  p.name = "compact";
-  p.min_n = 2;
-  p.max_n = 300;
-  p.generate = [](Rng& rng, index_t n) {
-    CaseInput in = gen_keys_case(rng, n, kZGeoms);
-    static constexpr double kDensities[] = {0.0, 0.1, 0.5, 0.9, 1.0};
-    const double density = kDensities[rng.uniform(0, 4)];
-    in.flags.resize(static_cast<size_t>(n));
-    for (auto& f : in.flags) f = rng.chance(density) ? 1 : 0;
-    return in;
-  };
-  p.valid = [](const CaseInput& in) {
-    return valid_keys_case(in) && in.geom.zorder &&
-           static_cast<index_t>(in.flags.size()) == in.n;
-  };
-  p.run = [](Machine& m, const CaseInput& in) {
-    CaseOutcome out;
-    out.size = in.n;
-    index_t count = 0;
-    for (const char f : in.flags) count += f;
-    const GridArray<std::int64_t> a = make_keys_array(in);
-    const GridArray<std::int64_t> result =
-        compact_flagged(m, a, in.flags, count);
-    std::vector<std::int64_t> want;
-    for (index_t i = 0; i < in.n; ++i) {
-      if (in.flags[static_cast<size_t>(i)]) {
-        want.push_back(in.keys[static_cast<size_t>(i)]);
-      }
-    }
-    const std::vector<std::int64_t> got = result.values();
-    if (got != want) {
-      out.ok = false;
-      out.failure = vec_mismatch("compact survivors mismatch", got, want);
-      return out;
-    }
-    // Budget: the scan's O(n) plus the exact Manhattan sum of the direct
-    // survivor messages (destinations are known host-side).
-    const GridArray<char> dst =
-        GridArray<char>::on_square(in.geom.region.origin(), count);
-    double direct = 0;
-    index_t slot = 0;
-    for (index_t i = 0; i < in.n; ++i) {
-      if (!in.flags[static_cast<size_t>(i)]) continue;
-      direct += static_cast<double>(manhattan(a.coord(i), dst.coord(slot)));
-      ++slot;
-    }
-    const auto n = static_cast<double>(in.n);
-    out.budgets = {{"energy", n + direct + 4},
-                   {"depth", log2ceil(in.n) + 3},
-                   {"distance", 4 * (std::sqrt(n) + 1)}};
-    return out;
-  };
-  return p;
+  return keys_property(
+      {.name = "compact",
+       .max_n = 300,
+       .geoms = kZGeoms,
+       .draw =
+           [](Rng& rng, CaseInput& in) {
+             static constexpr double kDensities[] = {0.0, 0.1, 0.5, 0.9, 1.0};
+             const double density = kDensities[rng.uniform(0, 4)];
+             in.flags.resize(static_cast<size_t>(in.n));
+             for (auto& f : in.flags) f = rng.chance(density) ? 1 : 0;
+           },
+       .valid =
+           [](const CaseInput& in) {
+             return in.geom.zorder &&
+                    static_cast<index_t>(in.flags.size()) == in.n;
+           },
+       .run = [](Machine& m, const CaseInput& in, const KeyArray& a,
+                 CaseOutcome& out) {
+         index_t count = 0;
+         for (const char f : in.flags) count += f;
+         const KeyArray result = compact_flagged(m, a, in.flags, count);
+         std::vector<std::int64_t> want;
+         for (index_t i = 0; i < in.n; ++i) {
+           if (in.flags[static_cast<size_t>(i)]) {
+             want.push_back(in.keys[static_cast<size_t>(i)]);
+           }
+         }
+         if (!expect_equal(out, "compact survivors mismatch", result.values(),
+                           want)) {
+           return;
+         }
+         // Budget: the scan's O(n) plus the exact Manhattan sum of the
+         // direct survivor messages (destinations are known host-side).
+         const GridArray<char> dst =
+             GridArray<char>::on_square(in.geom.region.origin(), count);
+         double direct = 0;
+         index_t slot = 0;
+         for (index_t i = 0; i < in.n; ++i) {
+           if (!in.flags[static_cast<size_t>(i)]) continue;
+           direct +=
+               static_cast<double>(manhattan(a.coord(i), dst.coord(slot)));
+           ++slot;
+         }
+         const auto n = static_cast<double>(in.n);
+         out.budgets = {{"energy", n + direct + 4},
+                        {"depth", log2ceil(in.n) + 3},
+                        {"distance", 4 * (std::sqrt(n) + 1)}};
+       }});
 }
 
 Property make_select() {
-  Property p;
-  p.name = "select_rank";
-  p.min_n = 4;
-  p.max_n = 256;
-  p.generate = [](Rng& rng, index_t n) {
-    CaseInput in = gen_keys_case(rng, n, kAllGeoms);
-    in.k = rng.uniform(1, n);
-    in.algo_seed = rng.next();
-    return in;
-  };
-  p.valid = [](const CaseInput& in) {
-    return valid_keys_case(in) && in.k >= 1 && in.k <= in.n;
-  };
-  p.run = [](Machine& m, const CaseInput& in) {
-    CaseOutcome out;
-    out.size = in.n;
-    const GridArray<std::int64_t> a = make_keys_array(in);
-    const SelectResult<std::int64_t> result =
-        select_rank(m, a, in.k, in.algo_seed);
-    std::vector<std::int64_t> sorted = in.keys;
-    std::sort(sorted.begin(), sorted.end());
-    const std::int64_t want = sorted[static_cast<size_t>(in.k - 1)];
-    if (result.value != want) {
-      out.ok = false;
-      std::ostringstream os;
-      os << "select_rank: rank " << in.k << " got " << result.value
-         << " want " << want;
-      out.failure = os.str();
-      return out;
-    }
-    if (result.fell_back) {
-      // The sort fallback is a legal low-probability event (Lemma VI.1,
-      // prob <= 2 n^{-c/6} — non-negligible at fuzz sizes) with different
-      // cost bounds; only the functional oracle applies.
-      out.skip_cost = true;
-      return out;
-    }
-    // Theorem VI.3 with the run's actual iteration count: O(n) energy per
-    // iteration plus the route to the canonical square.
-    const auto n = static_cast<double>(in.n);
-    const auto iters = static_cast<double>(result.iterations);
-    const double side = static_cast<double>(square_side_for(in.n));
-    const double d =
-        static_cast<double>(in.geom.region.diameter()) + 2 * side;
-    const double lg = log2ceil(in.n) + 2;
-    out.budgets = {{"energy", (iters + 2) * (n + 16) + n * (d + 1)},
-                   {"depth", (iters + 2) * lg * lg},
-                   {"distance", (iters + 2) * (d + 4 * side + 8)}};
-    return out;
-  };
-  return p;
+  return keys_property(
+      {.name = "select_rank",
+       .min_n = 4,
+       .draw =
+           [](Rng& rng, CaseInput& in) {
+             in.k = rng.uniform(1, in.n);
+             in.algo_seed = rng.next();
+           },
+       .valid = [](const CaseInput& in) { return in.k >= 1 && in.k <= in.n; },
+       .run = [](Machine& m, const CaseInput& in, const KeyArray& a,
+                 CaseOutcome& out) {
+         const SelectResult<std::int64_t> result =
+             select_rank(m, a, in.k, in.algo_seed);
+         std::vector<std::int64_t> sorted = in.keys;
+         std::sort(sorted.begin(), sorted.end());
+         const std::int64_t want = sorted[static_cast<size_t>(in.k - 1)];
+         if (result.value != want) {
+           std::ostringstream os;
+           os << "select_rank: rank " << in.k << " got " << result.value
+              << " want " << want;
+           fail(out, os.str());
+           return;
+         }
+         if (result.fell_back) {
+           // The sort fallback is a legal low-probability event (Lemma
+           // VI.1, prob <= 2 n^{-c/6} — non-negligible at fuzz sizes) with
+           // different cost bounds; only the functional oracle applies.
+           out.skip_cost = true;
+           return;
+         }
+         // Theorem VI.3 with the run's actual iteration count: O(n) energy
+         // per iteration plus the route to the canonical square.
+         const auto n = static_cast<double>(in.n);
+         const auto iters = static_cast<double>(result.iterations);
+         const double side = static_cast<double>(square_side_for(in.n));
+         const double d =
+             static_cast<double>(in.geom.region.diameter()) + 2 * side;
+         const double lg = log2ceil(in.n) + 2;
+         out.budgets = {{"energy", (iters + 2) * (n + 16) + n * (d + 1)},
+                        {"depth", (iters + 2) * lg * lg},
+                        {"distance", (iters + 2) * (d + 4 * side + 8)}};
+       }});
 }
 
 Property make_allpairs() {
-  Property p;
-  p.name = "allpairs_sort";
-  p.min_n = 2;
-  p.max_n = 48;  // Theta(n^{5/2}) energy: keep instances sample-sized
-  p.generate = [](Rng& rng, index_t n) {
-    return gen_keys_case(rng, std::min<index_t>(n, 48),
-                         {GeomKind::kSquareZ});
-  };
-  p.valid = [](const CaseInput& in) {
-    return valid_keys_case(in) && in.geom.zorder;
-  };
-  p.run = [](Machine& m, const CaseInput& in) {
-    CaseOutcome out;
-    out.size = in.n;
-    const GridArray<std::int64_t> a = make_keys_array(in);
-    const GridArray<std::int64_t> sorted =
-        allpairs_sort_stable(m, a, std::less<>{});
-    std::vector<std::int64_t> want = in.keys;
-    std::sort(want.begin(), want.end());
-    const std::vector<std::int64_t> got = sorted.values();
-    if (got != want) {
-      out.ok = false;
-      out.failure = vec_mismatch("allpairs_sort output not sorted", got, want);
-      return out;
-    }
-    // Lemma V.5: O(n^{5/2}) energy, O(log n) depth, O(n) distance.
-    const auto n = static_cast<double>(in.n);
-    out.budgets = {{"energy", std::pow(n, 2.5) + 8 * n},
-                   {"depth", log2ceil(in.n) + 3},
-                   {"distance", 8 * (n + 1)}};
-    return out;
-  };
-  return p;
+  return keys_property(
+      {.name = "allpairs_sort",
+       .max_n = 48,  // Theta(n^{5/2}) energy: keep instances sample-sized
+       .geoms = {GeomKind::kSquareZ},
+       .valid = z_order,
+       .run = [](Machine& m, const CaseInput& in, const KeyArray& a,
+                 CaseOutcome& out) {
+         const KeyArray sorted = allpairs_sort_stable(m, a, std::less<>{});
+         if (!expect_sorted(out, "allpairs_sort output not sorted",
+                            sorted.values(), in.keys)) {
+           return;
+         }
+         // Lemma V.5: O(n^{5/2}) energy, O(log n) depth, O(n) distance.
+         const auto n = static_cast<double>(in.n);
+         out.budgets = {{"energy", std::pow(n, 2.5) + 8 * n},
+                        {"depth", log2ceil(in.n) + 3},
+                        {"distance", 8 * (n + 1)}};
+       }});
 }
 
 Property make_rank_select_two_sorted() {
@@ -924,12 +814,11 @@ Property make_rank_select_two_sorted() {
       }
     }
     if (split.a_count != want_a || split.b_count != in.k - want_a) {
-      out.ok = false;
       std::ostringstream os;
       os << "rank_select_two_sorted: k=" << in.k << " got (" << split.a_count
          << "," << split.b_count << ") want (" << want_a << ","
          << in.k - want_a << ")";
-      out.failure = os.str();
+      fail(out, os.str());
       return out;
     }
     // Lemma V.6's O(n^{5/4}) energy, which the implementation now meets:
@@ -1001,9 +890,7 @@ Property make_spmv() {
     // All values are small integers, so double sums are exact and
     // order-independent: the comparison is exact equality.
     const std::vector<double> want = mat.multiply_reference(x);
-    if (result.y != want) {
-      out.ok = false;
-      out.failure = vec_mismatch("spmv product mismatch", result.y, want);
+    if (!expect_equal(out, "spmv product mismatch", result.y, want)) {
       return out;
     }
     const index_t s = mat.nnz() + in.n;
@@ -1060,10 +947,8 @@ Property make_components() {
     const graph::EdgeList g{in.n_vertices, in.edges};
     const graph::ComponentsResult result = graph::connected_components(m, g);
     const std::vector<index_t> want = graph::reference_components(g);
-    if (result.label != want) {
-      out.ok = false;
-      out.failure = vec_mismatch("components labels mismatch", result.label,
-                                 want);
+    if (!expect_equal(out, "components labels mismatch", result.label,
+                      want)) {
       return out;
     }
     // O(m^{3/2} + R (m + n sqrt m)) energy with the run's actual round
@@ -1226,9 +1111,7 @@ Property make_pram_erew() {
             reads[static_cast<size_t>(q)] + 1.0;
       }
     }
-    if (got != want) {
-      out.ok = false;
-      out.failure = vec_mismatch("pram_erew final memory mismatch", got, want);
+    if (!expect_equal(out, "pram_erew final memory mismatch", got, want)) {
       return out;
     }
     // Lemma VII.1 per step: O(p (sqrt p + sqrt m)) energy, O(1) depth,

@@ -16,6 +16,7 @@
 #include "testing/property.hpp"
 
 #include "collectives/operators.hpp"
+#include "testing/oracles.hpp"
 #include "tree/contraction.hpp"
 #include "tree/euler.hpp"
 #include "tree/lca.hpp"
@@ -24,6 +25,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <numeric>
 #include <sstream>
 #include <unordered_map>
@@ -33,35 +35,6 @@
 namespace scm::testing {
 
 namespace {
-
-double log2ceil(index_t n) {
-  index_t bits = 0;
-  index_t v = 1;
-  while (v < std::max<index_t>(n, 1)) {
-    v <<= 1;
-    ++bits;
-  }
-  return static_cast<double>(bits);
-}
-
-template <class T>
-std::string vec_mismatch(const char* what, const std::vector<T>& got,
-                         const std::vector<T>& want) {
-  std::ostringstream os;
-  os << what << ": ";
-  if (got.size() != want.size()) {
-    os << "size " << got.size() << " want " << want.size();
-    return os.str();
-  }
-  for (size_t i = 0; i < got.size(); ++i) {
-    if (!(got[i] == want[i])) {
-      os << "index " << i << ": got " << got[i] << " want " << want[i];
-      return os.str();
-    }
-  }
-  os << "no difference";
-  return os.str();
-}
 
 [[nodiscard]] tree::Tree tree_of(const CaseInput& in) {
   return tree::Tree{in.n, in.edges, in.k - 1};
@@ -224,222 +197,178 @@ struct TreeDims {
                   log2ceil(arcs) + 2};
 }
 
-Property make_euler_tour() {
+using TreeRun = std::function<void(Machine&, const CaseInput&,
+                                   const tree::Tree&, const tree::DenseTree&,
+                                   CaseOutcome&)>;
+
+/// Assembles a tree property from the shared generator, validator, relabel
+/// and rebuild. `run` gets the outcome with its size set, the labeled tree
+/// and its dense normalization.
+Property tree_property(std::string name, index_t max_n, bool with_queries,
+                       TreeRun run) {
   Property p;
-  p.name = "euler_tour";
+  p.name = std::move(name);
   p.min_n = 1;
-  p.max_n = 96;
-  p.generate = [](Rng& rng, index_t n) {
-    return gen_tree_case(rng, n, 96, /*with_queries=*/false);
+  p.max_n = max_n;
+  p.generate = [max_n, with_queries](Rng& rng, index_t n) {
+    return gen_tree_case(rng, n, max_n, with_queries);
   };
   p.valid = valid_tree_case;
   p.relabel = relabel_tree_case;
   p.rebuild = rebuild_tree_case;
-  p.run = [](Machine& m, const CaseInput& in) {
+  p.run = [run = std::move(run)](Machine& m, const CaseInput& in) {
     CaseOutcome out;
     out.size = in.n;
     const tree::Tree t = tree_of(in);
-    const tree::DenseTree dt = tree::normalize(t);
-    const tree::EulerTour tour = tree::euler_tour(m, dt, in.geom.origin());
-    const tree::HostTour want = tree::host_euler_tour(dt);
-    if (tour.parent != want.parent) {
-      out.ok = false;
-      out.failure = vec_mismatch("euler_tour parent mismatch", tour.parent,
-                                 want.parent);
-      return out;
-    }
-    if (tour.depth != want.depth) {
-      out.ok = false;
-      out.failure =
-          vec_mismatch("euler_tour depth mismatch", tour.depth, want.depth);
-      return out;
-    }
-    if (tour.first != want.first) {
-      out.ok = false;
-      out.failure =
-          vec_mismatch("euler_tour first mismatch", tour.first, want.first);
-      return out;
-    }
-    if (tour.last != want.last) {
-      out.ok = false;
-      out.failure =
-          vec_mismatch("euler_tour last mismatch", tour.last, want.last);
-      return out;
-    }
-    // One arc mergesort (s^{3/2}) plus R Wyllie rounds, each a request +
-    // reply batch of up to s messages across the arc square (s^{3/2} per
-    // round worst case); scans and hand-offs are O(s lg).
-    const auto [s, sd, lg] = tree_dims(in.n);
-    const auto rounds = static_cast<double>(tour.rank_rounds);
-    out.budgets = {
-        {"energy", std::pow(s, 1.5) * (rounds + 4) + 4 * s * lg + 64},
-        {"depth", lg * lg * lg + (rounds + 4) * lg + 32},
-        {"distance", (rounds + 8) * (4 * sd + 8) + 64}};
+    run(m, in, t, tree::normalize(t), out);
     return out;
   };
   return p;
+}
+
+Property make_euler_tour() {
+  return tree_property(
+      "euler_tour", 96, /*with_queries=*/false,
+      [](Machine& m, const CaseInput& in, const tree::Tree&,
+         const tree::DenseTree& dt, CaseOutcome& out) {
+        const tree::EulerTour tour = tree::euler_tour(m, dt, in.geom.origin());
+        const tree::HostTour want = tree::host_euler_tour(dt);
+        if (!expect_equal(out, "euler_tour parent mismatch", tour.parent,
+                          want.parent) ||
+            !expect_equal(out, "euler_tour depth mismatch", tour.depth,
+                          want.depth) ||
+            !expect_equal(out, "euler_tour first mismatch", tour.first,
+                          want.first) ||
+            !expect_equal(out, "euler_tour last mismatch", tour.last,
+                          want.last)) {
+          return;
+        }
+        // One arc mergesort (s^{3/2}) plus R Wyllie rounds, each a request
+        // + reply batch of up to s messages across the arc square (s^{3/2}
+        // per round worst case); scans and hand-offs are O(s lg).
+        const auto [s, sd, lg] = tree_dims(in.n);
+        const auto rounds = static_cast<double>(tour.rank_rounds);
+        out.budgets = {
+            {"energy", std::pow(s, 1.5) * (rounds + 4) + 4 * s * lg + 64},
+            {"depth", lg * lg * lg + (rounds + 4) * lg + 32},
+            {"distance", (rounds + 8) * (4 * sd + 8) + 64}};
+      });
 }
 
 Property make_tree_reduce() {
-  Property p;
-  p.name = "tree_reduce";
-  p.min_n = 1;
-  p.max_n = 96;
-  p.generate = [](Rng& rng, index_t n) {
-    return gen_tree_case(rng, n, 96, /*with_queries=*/false);
-  };
-  p.valid = valid_tree_case;
-  p.relabel = relabel_tree_case;
-  p.rebuild = rebuild_tree_case;
-  p.run = [](Machine& m, const CaseInput& in) {
-    CaseOutcome out;
-    out.size = in.n;
-    const tree::Tree t = tree_of(in);
-    const tree::DenseTree dt = tree::normalize(t);
-    const tree::EulerTour tour = tree::euler_tour(m, dt, in.geom.origin());
-    const std::vector<std::int64_t> vals = dense_values(dt, in.keys);
-    const auto neg = [](std::int64_t v) { return -v; };
-    const std::vector<std::int64_t> down =
-        tree::rootfix(m, tour, vals, Plus{}, neg);
-    const std::vector<std::int64_t> up =
-        tree::leaffix(m, tour, vals, Plus{}, neg, std::int64_t{0});
-    const std::vector<std::int64_t> want_down =
-        tree::host_rootfix(t, in.keys, Plus{});
-    const std::vector<std::int64_t> want_up =
-        tree::host_leaffix(t, in.keys, Plus{});
-    if (const auto got = to_label_order(dt, down); got != want_down) {
-      out.ok = false;
-      out.failure = vec_mismatch("rootfix mismatch", got, want_down);
-      return out;
-    }
-    if (const auto got = to_label_order(dt, up); got != want_up) {
-      out.ok = false;
-      out.failure = vec_mismatch("leaffix mismatch", got, want_up);
-      return out;
-    }
-    // Tour budget plus two fan/scan/deliver passes, each O(s^{3/2}) energy
-    // (s messages across the arc square) and O(lg) depth.
-    const auto [s, sd, lg] = tree_dims(in.n);
-    const auto rounds = static_cast<double>(tour.rank_rounds);
-    out.budgets = {
-        {"energy", std::pow(s, 1.5) * (rounds + 8) + 8 * s * lg + 64},
-        {"depth", lg * lg * lg + (rounds + 8) * lg + 48},
-        {"distance", (rounds + 12) * (4 * sd + 8) + 64}};
-    return out;
-  };
-  return p;
+  return tree_property(
+      "tree_reduce", 96, /*with_queries=*/false,
+      [](Machine& m, const CaseInput& in, const tree::Tree& t,
+         const tree::DenseTree& dt, CaseOutcome& out) {
+        const tree::EulerTour tour = tree::euler_tour(m, dt, in.geom.origin());
+        const std::vector<std::int64_t> vals = dense_values(dt, in.keys);
+        const auto neg = [](std::int64_t v) { return -v; };
+        const std::vector<std::int64_t> down =
+            tree::rootfix(m, tour, vals, Plus{}, neg);
+        const std::vector<std::int64_t> up =
+            tree::leaffix(m, tour, vals, Plus{}, neg, std::int64_t{0});
+        const std::vector<std::int64_t> want_down =
+            tree::host_rootfix(t, in.keys, Plus{});
+        const std::vector<std::int64_t> want_up =
+            tree::host_leaffix(t, in.keys, Plus{});
+        if (!expect_equal(out, "rootfix mismatch", to_label_order(dt, down),
+                          want_down) ||
+            !expect_equal(out, "leaffix mismatch", to_label_order(dt, up),
+                          want_up)) {
+          return;
+        }
+        // Tour budget plus two fan/scan/deliver passes, each O(s^{3/2})
+        // energy (s messages across the arc square) and O(lg) depth.
+        const auto [s, sd, lg] = tree_dims(in.n);
+        const auto rounds = static_cast<double>(tour.rank_rounds);
+        out.budgets = {
+            {"energy", std::pow(s, 1.5) * (rounds + 8) + 8 * s * lg + 64},
+            {"depth", lg * lg * lg + (rounds + 8) * lg + 48},
+            {"distance", (rounds + 12) * (4 * sd + 8) + 64}};
+      });
 }
 
 Property make_tree_contract() {
-  Property p;
-  p.name = "tree_contract";
-  p.min_n = 1;
-  p.max_n = 64;
-  p.generate = [](Rng& rng, index_t n) {
-    return gen_tree_case(rng, n, 64, /*with_queries=*/false);
-  };
-  p.valid = valid_tree_case;
-  p.relabel = relabel_tree_case;
-  p.rebuild = rebuild_tree_case;
-  p.run = [](Machine& m, const CaseInput& in) {
-    CaseOutcome out;
-    out.size = in.n;
-    const tree::Tree t = tree_of(in);
-    const tree::DenseTree dt = tree::normalize(t);
-    const std::vector<std::int64_t> vals = dense_values(dt, in.keys);
-    const tree::ContractResult<std::int64_t> result = tree::tree_contract(
-        m, dt, vals, Plus{}, in.algo_seed, in.geom.origin());
-    const std::int64_t want =
-        std::accumulate(in.keys.begin(), in.keys.end(), std::int64_t{0});
-    if (result.value != want) {
-      out.ok = false;
-      std::ostringstream os;
-      os << "tree_contract total mismatch: got " << result.value << " want "
-         << want << " (survivor " << result.survivor << ", "
-         << result.rounds << " rounds)";
-      out.failure = os.str();
-      return out;
-    }
-    if (result.survivor < 0 || result.survivor >= in.n) {
-      out.ok = false;
-      out.failure = "tree_contract survivor out of range";
-      return out;
-    }
-    // Per round: three segmented scans over the full arc array plus the
-    // degree/fold batches — O(s^{3/2}) energy and O(lg) depth each, C
-    // rounds total; the setup sort adds one s^{3/2}.
-    const auto [s, sd, lg] = tree_dims(in.n);
-    const auto c = static_cast<double>(result.rounds);
-    out.budgets = {
-        {"energy", std::pow(s, 1.5) * (c + 4) + (c + 4) * s * lg + 64},
-        {"depth", lg * lg * lg + (c + 4) * (4 * lg + 8) + 48},
-        {"distance", (c + 4) * (6 * sd + 12) + 64}};
-    return out;
-  };
-  return p;
+  return tree_property(
+      "tree_contract", 64, /*with_queries=*/false,
+      [](Machine& m, const CaseInput& in, const tree::Tree&,
+         const tree::DenseTree& dt, CaseOutcome& out) {
+        const std::vector<std::int64_t> vals = dense_values(dt, in.keys);
+        const tree::ContractResult<std::int64_t> result = tree::tree_contract(
+            m, dt, vals, Plus{}, in.algo_seed, in.geom.origin());
+        const std::int64_t want =
+            std::accumulate(in.keys.begin(), in.keys.end(), std::int64_t{0});
+        if (result.value != want) {
+          std::ostringstream os;
+          os << "tree_contract total mismatch: got " << result.value
+             << " want " << want << " (survivor " << result.survivor << ", "
+             << result.rounds << " rounds)";
+          fail(out, os.str());
+          return;
+        }
+        if (result.survivor < 0 || result.survivor >= in.n) {
+          fail(out, "tree_contract survivor out of range");
+          return;
+        }
+        // Per round: three segmented scans over the full arc array plus
+        // the degree/fold batches — O(s^{3/2}) energy and O(lg) depth
+        // each, C rounds total; the setup sort adds one s^{3/2}.
+        const auto [s, sd, lg] = tree_dims(in.n);
+        const auto c = static_cast<double>(result.rounds);
+        out.budgets = {
+            {"energy", std::pow(s, 1.5) * (c + 4) + (c + 4) * s * lg + 64},
+            {"depth", lg * lg * lg + (c + 4) * (4 * lg + 8) + 48},
+            {"distance", (c + 4) * (6 * sd + 12) + 64}};
+      });
 }
 
 Property make_tree_lca() {
-  Property p;
-  p.name = "tree_lca";
-  p.min_n = 1;
-  p.max_n = 48;
-  p.generate = [](Rng& rng, index_t n) {
-    return gen_tree_case(rng, n, 48, /*with_queries=*/true);
-  };
-  p.valid = valid_tree_case;
-  p.relabel = relabel_tree_case;
-  p.rebuild = rebuild_tree_case;
-  p.run = [](Machine& m, const CaseInput& in) {
-    CaseOutcome out;
-    out.size = in.n;
-    const tree::Tree t = tree_of(in);
-    const tree::DenseTree dt = tree::normalize(t);
-    const tree::EulerTour tour = tree::euler_tour(m, dt, in.geom.origin());
-    const std::vector<std::pair<index_t, index_t>> label_qs = queries_of(in);
-    std::vector<std::pair<index_t, index_t>> dense_qs;
-    dense_qs.reserve(label_qs.size());
-    for (const auto& [a, b] : label_qs) {
-      dense_qs.emplace_back(dt.to_dense[static_cast<size_t>(a)],
-                            dt.to_dense[static_cast<size_t>(b)]);
-    }
-    const tree::LcaResult result =
-        tree::lca(m, dt, tour, dense_qs, in.geom.origin());
-    std::vector<index_t> got;
-    got.reserve(result.answers.size());
-    for (const index_t d : result.answers) {
-      got.push_back(dt.to_label[static_cast<size_t>(d)]);
-    }
-    const std::vector<index_t> want = tree::host_lca(t, label_qs);
-    if (got != want) {
-      out.ok = false;
-      out.failure = vec_mismatch("tree_lca answers mismatch", got, want);
-      return out;
-    }
-    // Tour + occurrence/RMQ build (O(s^{3/2})), two query mergesorts
-    // (q^{3/2}), and W cover fetches in G groups of <= 16 serialized
-    // steps.
-    const auto [s, sd, lg] = tree_dims(in.n);
-    const auto q = static_cast<double>(
-        std::max<index_t>(static_cast<index_t>(label_qs.size()), 1));
-    const double lq = log2ceil(static_cast<index_t>(q)) + 2;
-    const double qsd =
-        static_cast<double>(square_side_for(static_cast<index_t>(q)));
-    const auto rounds = static_cast<double>(tour.rank_rounds);
-    const auto walked = static_cast<double>(result.walk_nodes);
-    const auto groups = static_cast<double>(result.groups);
-    const auto len = static_cast<double>(result.max_len);
-    out.budgets = {
-        {"energy", std::pow(s, 1.5) * (rounds + 6) + 4 * s * lg +
-                       std::pow(q, 1.5) * (lq + 4) +
-                       (q + walked) * (8 * sd + 2 * qsd + 16) + 64},
-        {"depth", lg * lg * lg + (rounds + 6) * lg + lq * lq * lq +
-                      groups * (len + 4) * 4 + 48},
-        {"distance", (rounds + 8) * (4 * sd + 8) + lq * (4 * qsd + 8) +
-                         groups * (len + 4) * (12 * sd + 16) + 64}};
-    return out;
-  };
-  return p;
+  return tree_property(
+      "tree_lca", 48, /*with_queries=*/true,
+      [](Machine& m, const CaseInput& in, const tree::Tree& t,
+         const tree::DenseTree& dt, CaseOutcome& out) {
+        const tree::EulerTour tour = tree::euler_tour(m, dt, in.geom.origin());
+        const std::vector<std::pair<index_t, index_t>> label_qs =
+            queries_of(in);
+        std::vector<std::pair<index_t, index_t>> dense_qs;
+        dense_qs.reserve(label_qs.size());
+        for (const auto& [a, b] : label_qs) {
+          dense_qs.emplace_back(dt.to_dense[static_cast<size_t>(a)],
+                                dt.to_dense[static_cast<size_t>(b)]);
+        }
+        const tree::LcaResult result =
+            tree::lca(m, dt, tour, dense_qs, in.geom.origin());
+        std::vector<index_t> got;
+        got.reserve(result.answers.size());
+        for (const index_t d : result.answers) {
+          got.push_back(dt.to_label[static_cast<size_t>(d)]);
+        }
+        if (!expect_equal(out, "tree_lca answers mismatch", got,
+                          tree::host_lca(t, label_qs))) {
+          return;
+        }
+        // Tour + occurrence/RMQ build (O(s^{3/2})), two query mergesorts
+        // (q^{3/2}), and W cover fetches in G groups of <= 16 serialized
+        // steps.
+        const auto [s, sd, lg] = tree_dims(in.n);
+        const auto q = static_cast<double>(
+            std::max<index_t>(static_cast<index_t>(label_qs.size()), 1));
+        const double lq = log2ceil(static_cast<index_t>(q)) + 2;
+        const double qsd =
+            static_cast<double>(square_side_for(static_cast<index_t>(q)));
+        const auto rounds = static_cast<double>(tour.rank_rounds);
+        const auto walked = static_cast<double>(result.walk_nodes);
+        const auto groups = static_cast<double>(result.groups);
+        const auto len = static_cast<double>(result.max_len);
+        out.budgets = {
+            {"energy", std::pow(s, 1.5) * (rounds + 6) + 4 * s * lg +
+                           std::pow(q, 1.5) * (lq + 4) +
+                           (q + walked) * (8 * sd + 2 * qsd + 16) + 64},
+            {"depth", lg * lg * lg + (rounds + 6) * lg + lq * lq * lq +
+                          groups * (len + 4) * 4 + 48},
+            {"distance", (rounds + 8) * (4 * sd + 8) + lq * (4 * qsd + 8) +
+                             groups * (len + 4) * (12 * sd + 16) + 64}};
+      });
 }
 
 }  // namespace

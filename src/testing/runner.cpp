@@ -100,6 +100,32 @@ Execution execute(const Property& prop, const CaseInput& in,
   return result;
 }
 
+/// Executes a metamorphic variant that must reproduce `base` exactly: all
+/// metrics, the link-occupancy multiset, and a passing functional verdict.
+/// Returns the failure detail, or "" when the variant matches. `under`
+/// names the transform; `side` and `instance` name the variant.
+std::string exact_variant_mismatch(const Property& prop,
+                                   const CaseInput& variant,
+                                   const Execution& base,
+                                   const std::string& under, const char* side,
+                                   const char* instance) {
+  const Execution other = execute(prop, variant, /*track_congestion=*/true);
+  std::ostringstream os;
+  if (!(other.metrics == base.metrics)) {
+    os << "metrics changed under " << under << ": base " << base.metrics.str()
+       << " vs " << side << " " << other.metrics.str();
+  } else if (other.link_multiset != base.link_multiset) {
+    os << "link-occupancy multiset changed under " << under << ": base "
+       << base.link_multiset.size() << " links peak " << base.peak_link_load
+       << " vs " << side << " " << other.link_multiset.size()
+       << " links peak " << other.peak_link_load;
+  } else if (!other.outcome.ok) {
+    os << instance << " instance failed functionally: "
+       << other.outcome.failure;
+  }
+  return os.str();
+}
+
 }  // namespace
 
 std::string FailureRecord::str() const {
@@ -242,34 +268,19 @@ FuzzRunner::Verdict FuzzRunner::evaluate(const Property& prop,
   if (check_metamorphic && prop.metamorphic_translation) {
     // Translation leaves every message vector unchanged, so ALL metrics —
     // energy, messages, ops, and the (depth, distance) clock — must be
-    // bit-identical on the moved grid.
+    // bit-identical on the moved grid. It moves every dimension-ordered
+    // route rigidly: links relocate but no occupancy value changes, so the
+    // multiset over touched links must be bit-identical too.
     const Coord delta{17, -9};
     const CaseInput moved = prop.translate ? prop.translate(in, delta)
                                            : translate_geometry(in, delta);
-    const Execution shifted = execute(prop, moved, /*track_congestion=*/true);
-    if (!(shifted.metrics == base.metrics)) {
-      std::ostringstream os;
-      os << "metrics changed under translation by (" << delta.row << ","
-         << delta.col << "): base " << base.metrics.str() << " vs moved "
-         << shifted.metrics.str();
-      return {false, "metamorphic:translation", os.str()};
-    }
-    if (shifted.link_multiset != base.link_multiset) {
-      // Translation moves every dimension-ordered route rigidly: links
-      // relocate but no occupancy value changes, so the multiset over
-      // touched links must be bit-identical.
-      std::ostringstream os;
-      os << "link-occupancy multiset changed under translation by ("
-         << delta.row << "," << delta.col << "): base " << base.link_multiset.size()
-         << " links peak " << base.peak_link_load << " vs moved "
-         << shifted.link_multiset.size() << " links peak "
-         << shifted.peak_link_load;
-      return {false, "metamorphic:translation", os.str()};
-    }
-    if (!shifted.outcome.ok) {
-      return {false, "metamorphic:translation",
-              "translated instance failed functionally: " +
-                  shifted.outcome.failure};
+    std::string detail = exact_variant_mismatch(
+        prop, moved, base,
+        "translation by (" + std::to_string(delta.row) + "," +
+            std::to_string(delta.col) + ")",
+        "moved", "translated");
+    if (!detail.empty()) {
+      return {false, "metamorphic:translation", std::move(detail)};
     }
   }
   if (check_metamorphic && prop.relabel) {
@@ -279,26 +290,11 @@ FuzzRunner::Verdict FuzzRunner::evaluate(const Property& prop,
     // be bit-identical, not merely asymptotically equal.
     const CaseInput renamed =
         prop.relabel(in, in.algo_seed ^ 0x9e3779b97f4a7c15ULL);
-    const Execution named = execute(prop, renamed, /*track_congestion=*/true);
-    if (!(named.metrics == base.metrics)) {
-      std::ostringstream os;
-      os << "metrics changed under relabeling: base " << base.metrics.str()
-         << " vs renamed " << named.metrics.str();
-      return {false, "metamorphic:relabel", os.str()};
-    }
-    if (named.link_multiset != base.link_multiset) {
-      std::ostringstream os;
-      os << "link-occupancy multiset changed under relabeling: base "
-         << base.link_multiset.size() << " links peak "
-         << base.peak_link_load << " vs renamed "
-         << named.link_multiset.size() << " links peak "
-         << named.peak_link_load;
-      return {false, "metamorphic:relabel", os.str()};
-    }
-    if (!named.outcome.ok) {
-      return {false, "metamorphic:relabel",
-              "relabeled instance failed functionally: " +
-                  named.outcome.failure};
+    std::string detail = exact_variant_mismatch(prop, renamed, base,
+                                                "relabeling", "renamed",
+                                                "relabeled");
+    if (!detail.empty()) {
+      return {false, "metamorphic:relabel", std::move(detail)};
     }
   }
   if (check_metamorphic && prop.reflect) {

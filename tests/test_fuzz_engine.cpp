@@ -1,9 +1,11 @@
 // Unit tests of the property-fuzzing engine itself: certificate
 // round-trips and check semantics, replay-token parsing, deterministic
-// case generation, shrinker minimization, and an injected cost regression
-// caught by an exact certificate.
+// case generation, shrinker minimization, an injected cost regression
+// caught by an exact certificate, the shared functional oracles' failure
+// texts, and the CaseInput dump that failure reports print.
 #include "testing/bounds.hpp"
 #include "testing/gen.hpp"
+#include "testing/oracles.hpp"
 #include "testing/property.hpp"
 #include "testing/runner.hpp"
 #include "testing/shrink.hpp"
@@ -11,8 +13,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <sstream>
 #include <string>
+#include <vector>
 
 namespace scm::testing {
 namespace {
@@ -83,6 +87,112 @@ TEST(FuzzBounds, InjectedCostRegressionIsCaught) {
       set.check("bitonic_sort", "energy", measured, budget, outcome.size));
   EXPECT_FALSE(set.check("bitonic_sort", "energy", 2.0 * measured, budget,
                          outcome.size));
+}
+
+TEST(FuzzOracles, EqualityReportsSizeMismatchAndFirstDifference) {
+  CaseOutcome same;
+  EXPECT_TRUE(expect_equal(same, "components labels mismatch",
+                           std::vector<index_t>{0, 1}, {0, 1}));
+  EXPECT_TRUE(same.ok);
+  EXPECT_TRUE(same.failure.empty());
+
+  CaseOutcome sized;
+  EXPECT_FALSE(expect_equal(sized, "spmv product mismatch",
+                            std::vector<double>{1, 2}, {1, 2, 3}));
+  EXPECT_FALSE(sized.ok);
+  EXPECT_EQ(sized.failure, "spmv product mismatch: size 2 want 3");
+
+  CaseOutcome differs;
+  EXPECT_FALSE(expect_equal(differs, "components labels mismatch",
+                            std::vector<index_t>{0, 1, 1, 3}, {0, 1, 2, 2}));
+  EXPECT_FALSE(differs.ok);
+  EXPECT_EQ(differs.failure,
+            "components labels mismatch: index 2: got 1 want 2");
+}
+
+TEST(FuzzOracles, SortOracleRejectsUnsortedOrLostOutput) {
+  CaseOutcome sorted;
+  EXPECT_TRUE(expect_sorted(sorted, "bitonic_sort output not sorted",
+                            {-1, 3, 3}, {3, -1, 3}));
+  EXPECT_TRUE(sorted.ok);
+
+  CaseOutcome unsorted;
+  EXPECT_FALSE(expect_sorted(unsorted, "bitonic_sort output not sorted",
+                             {3, -1, 5}, {5, 3, -1}));
+  EXPECT_FALSE(unsorted.ok);
+  EXPECT_EQ(unsorted.failure,
+            "bitonic_sort output not sorted: index 0: got 3 want -1");
+
+  CaseOutcome lost;
+  EXPECT_FALSE(expect_sorted(lost, "mergesort2d output not sorted", {-1, 3},
+                             {3, -1, 5}));
+  EXPECT_EQ(lost.failure, "mergesort2d output not sorted: size 2 want 3");
+}
+
+TEST(FuzzOracles, PrefixOracleRejectsWrongInclusiveAndExclusiveSums) {
+  const std::vector<std::int64_t> keys{4, -1, 2};
+
+  CaseOutcome inclusive;
+  EXPECT_TRUE(expect_prefix(inclusive, "scan prefix mismatch", {4, 3, 5},
+                            keys, /*exclusive=*/false));
+  EXPECT_TRUE(inclusive.ok);
+  EXPECT_FALSE(expect_prefix(inclusive, "scan prefix mismatch", {4, 3, 6},
+                             keys, /*exclusive=*/false));
+  EXPECT_FALSE(inclusive.ok);
+  EXPECT_EQ(inclusive.failure, "scan prefix mismatch: index 2: got 6 want 5");
+
+  CaseOutcome exclusive;
+  EXPECT_TRUE(expect_prefix(exclusive, "scan prefix mismatch", {0, 4, 3},
+                            keys, /*exclusive=*/true));
+  EXPECT_TRUE(exclusive.ok);
+  // The inclusive sums are the wrong answer for an exclusive scan.
+  EXPECT_FALSE(expect_prefix(exclusive, "scan prefix mismatch", {4, 3, 5},
+                             keys, /*exclusive=*/true));
+  EXPECT_FALSE(exclusive.ok);
+  EXPECT_EQ(exclusive.failure, "scan prefix mismatch: index 0: got 4 want 0");
+}
+
+TEST(FuzzCaseInput, StrDumpsElementsOfSmallInstancesOnly) {
+  CaseInput small;
+  small.n = 3;
+  small.keys = {5, -2, 7};
+  small.perm = {2, 0, 1};
+  small.flags = {1, 0, 1};
+  small.k = 2;
+  small.algo_seed = 9;
+  small.geom = canonical_geometry(GeomKind::kSquareZ, 3);
+  small.shape = KeyShape::kReversed;
+  small.rows = 2;
+  small.cols = 3;
+  small.triples = {Triple{0, 1, 1.5}, Triple{1, 2, -3.0}};
+  small.n_vertices = 3;
+  small.edges = {{0, 1}, {1, 2}};
+  small.pram_steps = 1;
+  small.tree_shape = TreeShape::kPath;
+  EXPECT_EQ(small.str(),
+            "n=3 shape=reversed geom=square-z region=[0,0 2x2] z-order k=2 "
+            "algo_seed=9 matrix=2x3 nnz=2 vertices=3 edges=2 pram_steps=1 "
+            "tree=path keys=[5,-2,7] perm=[2,0,1] flags=[1,0,1] "
+            "triples=[(0,1,1.5) (1,2,-3)] edges=[(0,1) (1,2)]");
+
+  // Past 16 elements a list is summarized by its size; the triples and
+  // edges are gated on their own counts, not on n.
+  CaseInput big;
+  big.n = 17;
+  for (index_t i = 0; i < 17; ++i) {
+    big.keys.push_back(i - 8);
+    big.perm.push_back(16 - i);
+    big.flags.push_back(static_cast<char>(i % 2));
+    big.edges.emplace_back(i, i + 1);
+  }
+  big.geom = canonical_geometry(GeomKind::kLine, 17);
+  big.rows = 17;
+  big.cols = 17;
+  big.triples = {Triple{3, 4, 0.25}};
+  big.n_vertices = 18;
+  EXPECT_EQ(big.str(),
+            "n=17 shape=uniform geom=line region=[0,0 1x32] row-major "
+            "matrix=17x17 nnz=1 vertices=18 edges=17 triples=[(3,4,0.25)]");
 }
 
 TEST(FuzzRunnerTokens, ParseTokenAcceptsSeedColonCase) {

@@ -21,6 +21,7 @@
 #include <cstdlib>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace scm {
@@ -240,6 +241,50 @@ TEST(IndependenceAdversarial, UnexemptedHubReportsBothKinds) {
   EXPECT_EQ(report.count(IndependenceViolationKind::kWriteWriteConflict), 1);
   EXPECT_EQ(
       report.count(IndependenceViolationKind::kGatherScatterAliasing), 1);
+}
+
+TEST(IndependenceAdversarial, ViolationsAreReportedInCoordinateOrder) {
+  ScopedGlobalTraceSuspension off;
+  Machine m;
+  IndependenceChecker checker(lenient());
+  m.set_trace(&checker);
+  {
+    Machine::PhaseScope scope(m, "mixed");
+    m.death({3, 3});  // {3, 3} holds no value at batch start
+    // Listed out of coordinate order: a three-way fan-in at {5, 1}, the
+    // hub {2, 2} (fan-in plus relay), the retired relay {3, 3}, and a
+    // two-way fan-in at {0, 7}.
+    std::vector<MessageEvent> batch{
+        MessageEvent{{6, 0}, {5, 1}, 0, Clock{}, Clock{}},
+        MessageEvent{{6, 1}, {5, 1}, 0, Clock{}, Clock{}},
+        MessageEvent{{6, 2}, {5, 1}, 0, Clock{}, Clock{}},
+        MessageEvent{{0, 0}, {2, 2}, 0, Clock{}, Clock{}},
+        MessageEvent{{4, 4}, {2, 2}, 0, Clock{}, Clock{}},
+        MessageEvent{{2, 2}, {8, 8}, 0, Clock{}, Clock{}},
+        MessageEvent{{3, 0}, {3, 3}, 0, Clock{}, Clock{}},
+        MessageEvent{{3, 3}, {3, 9}, 0, Clock{}, Clock{}},
+        MessageEvent{{1, 7}, {0, 7}, 0, Clock{}, Clock{}},
+        MessageEvent{{1, 8}, {0, 7}, 0, Clock{}, Clock{}}};
+    m.send_bulk(batch);
+  }
+  const IndependenceReport& report = checker.report();
+  using Kind = IndependenceViolationKind;
+  const std::vector<std::pair<Coord, Kind>> want{
+      {{0, 7}, Kind::kWriteWriteConflict},
+      {{2, 2}, Kind::kWriteWriteConflict},
+      {{2, 2}, Kind::kGatherScatterAliasing},
+      {{3, 3}, Kind::kReadWriteHazard},
+      {{5, 1}, Kind::kWriteWriteConflict}};
+  ASSERT_EQ(report.violations.size(), want.size()) << report.str();
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(report.violations[i].at, want[i].first) << i;
+    EXPECT_EQ(report.violations[i].kind, want[i].second) << i;
+  }
+  EXPECT_EQ(report.max_fan_in, 3);
+  const PhaseFootprint& fp = report.per_phase.at("mixed");
+  EXPECT_EQ(fp.batches, 1);
+  EXPECT_EQ(fp.max_fan_in, 3);
+  EXPECT_EQ(fp.conflicts, 5);
 }
 
 TEST(IndependenceAdversarial, ZeroDistanceEntriesAreNeverCharged) {
