@@ -121,16 +121,77 @@ std::array<CongestionMap::Run, 2> CongestionMap::route(Coord from, Coord to) {
               std::abs(to.col - from.col), right ? kRight : kLeft}};
 }
 
-Link CongestionMap::link_of(LinkKey key) {
-  Coord from{key.row, key.col};
+Link CongestionMap::link_of(Coord from, Dir dir) {
   Coord to = from;
-  switch (key.dir) {
+  switch (dir) {
     case kUp: to.row -= 1; break;
     case kDown: to.row += 1; break;
     case kLeft: to.col -= 1; break;
     case kRight: to.col += 1; break;
   }
   return Link{from, to};
+}
+
+CongestionMap::LinkLoad::Page& CongestionMap::LinkLoad::page(
+    const PageKey& key) {
+  Recent& recent = recent_[key.dir];
+  if (recent.page == nullptr || recent.key != key) {
+    // Map nodes are pointer-stable, so the pointer stays valid until
+    // clear() drops the page.
+    recent = Recent{key, &pages_[key]};
+  }
+  return *recent.page;
+}
+
+index_t CongestionMap::LinkLoad::add(const Run& run) {
+  const index_t line = run.vertical() ? run.col : run.row;
+  index_t pos = run.vertical() ? run.row : run.col;
+  const index_t end = pos + run.count;
+  index_t peak = 0;
+  index_t fresh = 0;  // a local, so the loop need not assume it aliases a page
+  while (pos < end) {
+    const index_t first = page_first(pos);
+    const index_t stop = std::min(end, first + kPageLinks);
+    Page& counts = page(PageKey{line, first, run.dir});
+    for (index_t i = pos - first; i < stop - first; ++i) {
+      index_t& count = counts[static_cast<std::size_t>(i)];
+      fresh += count == 0 ? 1 : 0;
+      peak = std::max(peak, ++count);
+    }
+    pos = stop;
+  }
+  links_ += fresh;
+  return peak;
+}
+
+index_t CongestionMap::LinkLoad::at(Coord from, Dir dir) const {
+  const bool vertical = dir == kUp || dir == kDown;
+  const index_t pos = vertical ? from.row : from.col;
+  const index_t first = page_first(pos);
+  const auto it =
+      pages_.find(PageKey{vertical ? from.col : from.row, first, dir});
+  return it == pages_.end() ? 0
+                            : it->second[static_cast<std::size_t>(pos - first)];
+}
+
+template <typename Fn>
+void CongestionMap::LinkLoad::for_each(Fn&& fn) const {
+  for (const auto& [key, counts] : pages_) {
+    const bool vertical = key.dir == kUp || key.dir == kDown;
+    for (index_t i = 0; i < kPageLinks; ++i) {
+      const index_t count = counts[static_cast<std::size_t>(i)];
+      if (count == 0) continue;
+      const index_t pos = key.first + i;
+      const Coord from = vertical ? Coord{pos, key.line} : Coord{key.line, pos};
+      fn(link_of(from, key.dir), count);
+    }
+  }
+}
+
+void CongestionMap::LinkLoad::clear() {
+  pages_.clear();
+  recent_ = {};
+  links_ = 0;
 }
 
 CongestionMap::Bucket& CongestionMap::current_bucket() {
@@ -142,29 +203,19 @@ CongestionMap::Bucket& CongestionMap::current_bucket() {
   return *cached_bucket_;
 }
 
-void CongestionMap::bump(LinkKey key, Bucket& b) {
-  index_t& slot = load_[key];
-  ++slot;
-  ++total_;
-  max_link_load_ = std::max(max_link_load_, slot);
-
-  index_t& bslot = b.load[key];
-  ++bslot;
-  ++b.occupancy;
-  if (bslot > b.peak) {
-    // The congested clock is the sum of bucket peaks; maintain it
-    // incrementally as each bucket's peak rises.
-    congested_clock_ += bslot - b.peak;
-    b.peak = bslot;
-  }
-}
-
 void CongestionMap::add(const Run& run) {
   if (run.count == 0) return;
   Bucket& b = current_bucket();
-  LinkKey key{run.row, run.col, run.dir};
-  index_t& step = run.vertical() ? key.row : key.col;
-  for (index_t i = 0; i < run.count; ++i, ++step) bump(key, b);
+  total_ += run.count;
+  max_link_load_ = std::max(max_link_load_, load_.add(run));
+  b.occupancy += run.count;
+  const index_t peak = b.load.add(run);
+  if (peak > b.peak) {
+    // The congested clock is the sum of bucket peaks; maintain it
+    // incrementally as each bucket's peak rises.
+    congested_clock_ += peak - b.peak;
+    b.peak = peak;
+  }
 }
 
 void CongestionMap::on_message(Coord from, Coord to, index_t distance) {
@@ -241,33 +292,30 @@ index_t CongestionMap::occupancy(Link link) const {
   } else {
     return 0;  // not a unit link
   }
-  const auto it = load_.find(LinkKey{link.from.row, link.from.col, dir});
-  return it == load_.end() ? 0 : it->second;
+  return load_.at(link.from, dir);
 }
 
 std::vector<std::pair<Link, index_t>> CongestionMap::hotspot_links(
     std::size_t k) const {
   std::vector<std::pair<Link, index_t>> all;
-  all.reserve(load_.size());
-  for (const auto& [key, count] : load_) {
-    all.push_back({link_of(key), count});
-  }
+  all.reserve(static_cast<std::size_t>(links()));
+  load_.for_each(
+      [&](Link link, index_t count) { all.push_back({link, count}); });
   return top_k(std::move(all), k, std::less<Link>{});
 }
 
 index_t CongestionMap::percentile(double p) const {
   std::vector<index_t> loads;
-  loads.reserve(load_.size());
-  for (const auto& [key, count] : load_) loads.push_back(count);
+  loads.reserve(static_cast<std::size_t>(links()));
+  load_.for_each([&](Link, index_t count) { loads.push_back(count); });
   return nearest_rank(std::move(loads), p);
 }
 
 std::vector<std::pair<Link, index_t>> CongestionMap::sorted_links() const {
   std::vector<std::pair<Link, index_t>> all;
-  all.reserve(load_.size());
-  for (const auto& [key, count] : load_) {
-    all.push_back({link_of(key), count});
-  }
+  all.reserve(static_cast<std::size_t>(links()));
+  load_.for_each(
+      [&](Link link, index_t count) { all.push_back({link, count}); });
   std::sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
     return a.first < b.first;
   });
@@ -276,8 +324,8 @@ std::vector<std::pair<Link, index_t>> CongestionMap::sorted_links() const {
 
 std::vector<index_t> CongestionMap::occupancy_multiset() const {
   std::vector<index_t> values;
-  values.reserve(load_.size());
-  for (const auto& [key, count] : load_) values.push_back(count);
+  values.reserve(static_cast<std::size_t>(links()));
+  load_.for_each([&](Link, index_t count) { values.push_back(count); });
   std::sort(values.begin(), values.end());
   return values;
 }
@@ -288,9 +336,7 @@ std::vector<CongestionMap::PhaseCongestion> CongestionMap::phase_congestion()
   out.reserve(phase_order_.size());
   for (const PhaseId id : phase_order_) {
     const Bucket& b = phases_.at(id);
-    out.push_back(PhaseCongestion{id, b.occupancy,
-                                  static_cast<index_t>(b.load.size()),
-                                  b.peak});
+    out.push_back(PhaseCongestion{id, b.occupancy, b.load.links(), b.peak});
   }
   return out;
 }
@@ -340,10 +386,9 @@ std::string CongestionMap::heatmap(index_t max_side) const {
   // Per-cell pressure: the maximum occupancy over the directed links
   // leaving the cell.
   std::vector<std::pair<Coord, index_t>> leaving;
-  leaving.reserve(load_.size());
-  for (const auto& [key, count] : load_) {
-    leaving.push_back({Coord{key.row, key.col}, count});
-  }
+  leaving.reserve(static_cast<std::size_t>(links()));
+  load_.for_each(
+      [&](Link link, index_t count) { leaving.push_back({link.from, count}); });
   return ramp_heatmap("link", ", max outgoing-link load", leaving, max_side);
 }
 
@@ -405,9 +450,8 @@ LoadMap::Cells LoadMap::cells() const {
   std::pmr::unordered_map<Coord, index_t, CoordHash> load(&pool);
   load.reserve(sent_.size());
   load.insert(sent_.begin(), sent_.end());
-  for (const auto& [key, count] : links_.load_) {
-    load[CongestionMap::link_of(key).to] += count;
-  }
+  links_.load_.for_each(
+      [&](Link link, index_t count) { load[link.to] += count; });
   return Cells({load.begin(), load.end()});
 }
 

@@ -26,6 +26,15 @@
 //     so a phase's peak link occupancy lower-bounds its completion time
 //     on bandwidth-limited hardware.
 //
+// Link counters are stored in strip pages, one layout for the global map
+// and every phase bucket. A page holds 64 consecutive links of one
+// direction along one row (horizontal links) or one column (vertical
+// links). A run is added page by page with plain array increments; the
+// page is found with one hash lookup, or none when it is the last page
+// used in that direction, and the peaks and the congested clock update
+// once per run. A touched page costs 512 bytes of counters plus one
+// hash-table entry, however few of its links carry traffic.
+//
 // On top of the per-phase peaks sits an **opt-in diagnostic metric**,
 // congested_clock() = sum over phase buckets of the bucket's peak link
 // occupancy. It is deliberately NOT part of Metrics and never feeds the
@@ -91,8 +100,9 @@ struct Link {
 /// Accumulates per-link occupancy by routing every charged message along
 /// the dimension-ordered Manhattan path (rows first, then columns), with
 /// per-phase attribution and an opt-in congested-clock diagnostic.
-/// Tracking costs O(distance) per message, so it is opt-in observability,
-/// never attached by default.
+/// Counters live in strip pages of 64 links, 512 B per touched page (see
+/// the file comment). Tracking costs O(distance) per message, so it is
+/// opt-in observability, never attached by default.
 class CongestionMap final : public TraceSink {
  public:
   CongestionMap() = default;
@@ -143,9 +153,7 @@ class CongestionMap final : public TraceSink {
   [[nodiscard]] index_t total_occupancy() const { return total_; }
 
   /// Number of distinct links that carried at least one unit.
-  [[nodiscard]] index_t links() const {
-    return static_cast<index_t>(load_.size());
-  }
+  [[nodiscard]] index_t links() const { return load_.links(); }
 
   /// Occupancy of one directed link (0 when never traversed).
   [[nodiscard]] index_t occupancy(Link link) const;
@@ -239,26 +247,78 @@ class CongestionMap final : public TraceSink {
   /// may be empty). The library's only route decomposition.
   [[nodiscard]] static std::array<Run, 2> route(Coord from, Coord to);
 
-  struct LinkKey {
-    index_t row{0};
-    index_t col{0};
-    Dir dir{kUp};
+  /// Per-link occupancy counters in strip pages (see the file comment).
+  /// The last page used in each direction is cached, so a run that stays
+  /// on the page the previous run of its direction used needs no lookup.
+  class LinkLoad {
+   public:
+    LinkLoad() = default;
+    /// Not copyable: the page cache points into this object's pages.
+    LinkLoad(const LinkLoad&) = delete;
+    LinkLoad& operator=(const LinkLoad&) = delete;
 
-    friend bool operator==(const LinkKey&, const LinkKey&) = default;
+    /// Adds one unit to every link of `run` and returns the largest count
+    /// the run leaves on any of them (0 for an empty run).
+    index_t add(const Run& run);
+
+    /// Count of the `dir` link leaving `from`; 0 when never traversed.
+    [[nodiscard]] index_t at(Coord from, Dir dir) const;
+
+    /// Distinct links with a nonzero count.
+    [[nodiscard]] index_t links() const { return links_; }
+
+    /// Calls fn(link, count) for every link with a nonzero count, in no
+    /// set order.
+    template <typename Fn>
+    void for_each(Fn&& fn) const;
+
+    void clear();
+
+   private:
+    /// Links per page, chosen by measurement: shorter pages cost more
+    /// lookups per run, longer ones more memory per touched page.
+    static constexpr index_t kPageLinks = 64;
+    using Page = std::array<index_t, kPageLinks>;
+
+    /// The position of the first link of the page holding position `pos`
+    /// along a line. Masking rounds down, negative positions included.
+    static index_t page_first(index_t pos) { return pos & ~(kPageLinks - 1); }
+
+    /// A page: its direction, its line (the column of a vertical page,
+    /// the row of a horizontal one) and the position along the line of
+    /// its first link, a multiple of kPageLinks.
+    struct PageKey {
+      index_t line{0};
+      index_t first{0};
+      Dir dir{kUp};
+
+      friend bool operator==(const PageKey&, const PageKey&) = default;
+    };
+    struct PageKeyHash {
+      std::size_t operator()(const PageKey& k) const {
+        return std::hash<std::uint64_t>{}(
+            coord_key(k.line, k.first / kPageLinks) * 4 + k.dir);
+      }
+    };
+    struct Recent {
+      PageKey key;
+      Page* page{nullptr};
+    };
+
+    /// The page under `key`, created zeroed on first use.
+    Page& page(const PageKey& key);
+
+    std::unordered_map<PageKey, Page, PageKeyHash> pages_;
+    std::array<Recent, 4> recent_{};  ///< last page used, per direction
+    index_t links_{0};
   };
-  struct LinkKeyHash {
-    std::size_t operator()(const LinkKey& k) const {
-      return std::hash<std::uint64_t>{}(coord_key(k.row, k.col) * 4 + k.dir);
-    }
-  };
-  using LinkLoad = std::unordered_map<LinkKey, index_t, LinkKeyHash>;
 
   /// The bucket traffic is currently attributed to (innermost phase).
   [[nodiscard]] PhaseId bucket() const {
     return stack_.empty() ? kNoPhase : stack_.back();
   }
 
-  /// Per-bucket occupancy map and peak, keyed by innermost PhaseId.
+  /// Per-bucket link counters and peak, keyed by innermost PhaseId.
   struct Bucket {
     LinkLoad load;
     index_t occupancy{0};
@@ -268,17 +328,17 @@ class CongestionMap final : public TraceSink {
   /// The resolved bucket of the innermost phase, fetched lazily and
   /// cached until the next phase transition (unordered_map nodes are
   /// pointer-stable), so the hot path pays one bucket hash lookup per
-  /// transition instead of one per unit hop.
+  /// transition instead of one per run.
   Bucket& current_bucket();
 
   /// Adds one unit of occupancy to every link of `run`, attributed to the
   /// current bucket. Counts no message: a run may be one piece of a
   /// message (the sharded map splits runs at tile bands).
   void add(const Run& run);
-  void bump(LinkKey key, Bucket& b);
   void record_sample();
 
-  static Link link_of(LinkKey key);
+  /// The unit link leaving `from` in direction `dir`.
+  static Link link_of(Coord from, Dir dir);
 
   LinkLoad load_;
   index_t total_{0};

@@ -470,7 +470,7 @@ ShardedCongestionMap::phase_congestion() const {
       const auto it = sh.phases_.find(id);
       if (it == sh.phases_.end()) continue;
       pc.occupancy += it->second.occupancy;
-      pc.links += static_cast<index_t>(it->second.load.size());
+      pc.links += it->second.load.links();
       pc.peak = std::max(pc.peak, it->second.peak);
     }
     out.push_back(pc);

@@ -8,6 +8,9 @@
 //     energy total (a message of Manhattan distance d crosses exactly d
 //     links), and the LoadMap's per-cell view matches a hop-by-hop
 //     reference walk query for query;
+//   * a seeded stream whose runs cross zero and page boundaries, with
+//     nested and re-entered phases: every link query, phase bucket and
+//     counter sample against a hop-by-hop per-link reference walk;
 //   * zero-length sends, self-sends, and empty batches produce no
 //     occupancy — matching the model's "free and unreported" contract;
 //   * the batched on_send_bulk path yields byte-identical per-link
@@ -38,9 +41,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <limits>
 #include <map>
+#include <random>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -401,6 +407,244 @@ TEST(CongestionIdentity, TreeEulerTourAndLca) {
   });
 }
 
+// ---- Every link query against a hop-by-hop link walk ----------------------
+
+/// The hop-by-hop per-link walk: each unit step of a message, rows first,
+/// adds one to its directed link, both globally and in the bucket of the
+/// innermost open phase. An independent oracle for CongestionMap, which
+/// adds whole runs of links instead; the queries below restate
+/// CongestionMap's documented semantics over this walk's ordered maps.
+class ReferenceLinkWalk final : public TraceSink {
+ public:
+  struct Bucket {
+    std::map<Link, index_t> links;
+    index_t occupancy{0};
+  };
+
+  void on_message(Coord from, Coord to, index_t distance) override {
+    (void)distance;
+    ++ticks;
+    longest_run = std::max({longest_run, std::abs(to.row - from.row),
+                            std::abs(to.col - from.col)});
+    Coord cur = from;
+    const auto step = [&](Coord next) {
+      const Link link{cur, next};
+      ++links[link];
+      const PhaseId id = stack.empty() ? kNoPhase : stack.back();
+      const auto [it, inserted] = buckets.try_emplace(id);
+      if (inserted) order.push_back(id);
+      ++it->second.links[link];
+      ++it->second.occupancy;
+      cur = next;
+    };
+    while (cur.row != to.row) {
+      step(Coord{cur.row + (to.row > cur.row ? 1 : -1), cur.col});
+    }
+    while (cur.col != to.col) {
+      step(Coord{cur.row, cur.col + (to.col > cur.col ? 1 : -1)});
+    }
+  }
+
+  // A sample is taken before each transition and dropped when it repeats
+  // the last one's peak and clock, as CongestionMap::record_sample
+  // documents.
+  void on_phase_enter(PhaseId id) override {
+    record_sample();
+    stack.push_back(id);
+  }
+  void on_phase_exit(PhaseId id) override {
+    (void)id;
+    if (stack.empty()) return;
+    record_sample();
+    stack.pop_back();
+  }
+
+  static index_t peak_of(const std::map<Link, index_t>& links) {
+    index_t peak = 0;
+    for (const auto& [link, count] : links) peak = std::max(peak, count);
+    return peak;
+  }
+
+  /// Sum over buckets of the bucket's peak link occupancy.
+  [[nodiscard]] index_t congested_clock() const {
+    index_t clock = 0;
+    for (const auto& [id, b] : buckets) clock += peak_of(b.links);
+    return clock;
+  }
+
+  /// Touched links with their occupancy, descending by occupancy, ties in
+  /// Link order.
+  [[nodiscard]] std::vector<std::pair<Link, index_t>> ranked() const {
+    std::vector<std::pair<Link, index_t>> all(links.begin(), links.end());
+    std::stable_sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
+      return a.second > b.second;
+    });
+    return all;
+  }
+
+  [[nodiscard]] std::vector<index_t> multiset() const {
+    std::vector<index_t> values;
+    for (const auto& [link, count] : links) values.push_back(count);
+    std::sort(values.begin(), values.end());
+    return values;
+  }
+
+  [[nodiscard]] index_t percentile(double p) const {
+    const auto values = multiset();
+    const auto rank = std::max<std::size_t>(
+        1, static_cast<std::size_t>(
+               std::ceil(p / 100.0 * static_cast<double>(values.size()))));
+    return values[rank - 1];
+  }
+
+  std::map<Link, index_t> links;
+  std::map<PhaseId, Bucket> buckets;
+  std::vector<PhaseId> order;  ///< first-touch order of buckets
+  std::vector<PhaseId> stack;
+  std::vector<CongestionMap::CounterSample> samples;
+  std::uint64_t ticks{0};
+  index_t longest_run{0};  ///< longest straight run of one message
+
+ private:
+  void record_sample() {
+    const CongestionMap::CounterSample s{ticks, peak_of(links),
+                                         congested_clock()};
+    if (!samples.empty() && samples.back().max_link_load == s.max_link_load &&
+        samples.back().congested_clock == s.congested_clock) {
+      return;
+    }
+    samples.push_back(s);
+  }
+};
+
+/// A seeded stream of scalar and bulk traffic between endpoints in
+/// [-300, 300]^2, half of them on coordinates next to multiples of 64, so
+/// runs cross zero and many multiples of 64 and some exceed 128 links.
+/// Bulk batches carry zero-length entries. Phases nest, and "ref_a" and
+/// the top level are visited more than once, so their buckets accumulate
+/// across visits.
+void drive_reference_stream(TraceSink& sink) {
+  auto rng = make_rng(2026);
+  const std::vector<index_t> edges{-300, -257, -256, -129, -128, -65, -64,
+                                   -1,   0,    1,    63,   64,   127, 128,
+                                   191,  192,  255,  256,  300};
+  std::uniform_int_distribution<index_t> any(-300, 300);
+  std::uniform_int_distribution<std::size_t> edge(0, edges.size() - 1);
+  std::uniform_int_distribution<int> coin(0, 7);
+  const auto coordinate = [&] {
+    return coin(rng) < 4 ? any(rng) : edges[edge(rng)];
+  };
+  const auto traffic = [&](int rounds) {
+    for (int i = 0; i < rounds; ++i) {
+      if (coin(rng) < 3) {
+        const Coord from{coordinate(), coordinate()};
+        const Coord to{coordinate(), coordinate()};
+        if (from != to) sink.on_message(from, to, manhattan(from, to));
+        continue;
+      }
+      std::vector<MessageEvent> batch(static_cast<std::size_t>(coin(rng) + 2));
+      for (MessageEvent& e : batch) {
+        e.from = Coord{coordinate(), coordinate()};
+        e.to = coin(rng) == 0 ? e.from : Coord{coordinate(), coordinate()};
+        e.distance = manhattan(e.from, e.to);
+      }
+      sink.on_send_bulk(batch);
+    }
+  };
+  PhaseRegistry& reg = PhaseRegistry::instance();
+  const PhaseId outer = reg.intern("cong_ref_outer");
+  const PhaseId a = reg.intern("cong_ref_a");
+  const PhaseId b = reg.intern("cong_ref_b");
+  traffic(6);
+  sink.on_phase_enter(outer);
+  traffic(8);
+  sink.on_phase_enter(a);
+  traffic(10);
+  sink.on_phase_exit(a);
+  sink.on_phase_enter(b);
+  traffic(6);
+  sink.on_phase_enter(a);  // nested inside b: a's bucket again
+  traffic(4);
+  sink.on_phase_exit(a);
+  sink.on_phase_exit(b);
+  sink.on_phase_enter(a);
+  sink.on_phase_exit(a);  // a visit with no traffic
+  sink.on_phase_enter(a);
+  traffic(10);
+  sink.on_phase_exit(a);
+  traffic(5);
+  sink.on_phase_exit(outer);
+  traffic(6);
+}
+
+TEST(CongestionReference, SeededStreamMatchesHopByHopLinkWalk) {
+  CongestionMap cm;
+  LoadMap lm;
+  ReferenceLinkWalk ref;
+  ReferenceLoadWalk ref_cells;
+  FanoutSink fanout({&cm, &lm, &ref, &ref_cells});
+  drive_reference_stream(fanout);
+
+  ASSERT_FALSE(ref.links.empty());
+  EXPECT_GT(ref.longest_run, 128);
+  EXPECT_LT(ref.links.begin()->first.from.row, 0);
+  index_t total = 0;
+  for (const auto& [link, count] : ref.links) {
+    ASSERT_EQ(cm.occupancy(link), count) << link.str();
+    // The reverse wire is a different link.
+    if (!ref.links.contains(Link{link.to, link.from})) {
+      ASSERT_EQ(cm.occupancy(Link{link.to, link.from}), 0) << link.str();
+    }
+    total += count;
+  }
+  EXPECT_EQ(cm.messages(), static_cast<index_t>(ref.ticks));
+  EXPECT_EQ(cm.total_occupancy(), total);
+  EXPECT_EQ(cm.links(), static_cast<index_t>(ref.links.size()));
+  const std::vector<std::pair<Link, index_t>> sorted(ref.links.begin(),
+                                                     ref.links.end());
+  EXPECT_EQ(cm.sorted_links(), sorted);
+  EXPECT_EQ(cm.occupancy_multiset(), ref.multiset());
+  EXPECT_EQ(cm.max_link_load(), ReferenceLinkWalk::peak_of(ref.links));
+  EXPECT_GT(cm.max_link_load(), 1);
+
+  const auto ranked = ref.ranked();
+  for (const std::size_t k : {std::size_t{1}, std::size_t{5},
+                              std::numeric_limits<std::size_t>::max()}) {
+    const auto n = static_cast<std::ptrdiff_t>(std::min(k, ranked.size()));
+    const std::vector<std::pair<Link, index_t>> want(ranked.begin(),
+                                                     ranked.begin() + n);
+    EXPECT_EQ(cm.hotspot_links(k), want) << "k = " << k;
+  }
+  for (const double p : {0.0, 50.0, 95.0, 99.0, 100.0}) {
+    EXPECT_EQ(cm.percentile(p), ref.percentile(p)) << "p = " << p;
+  }
+
+  const auto phases = cm.phase_congestion();
+  ASSERT_EQ(phases.size(), ref.order.size());
+  ASSERT_EQ(phases.size(), 4u);  // <top>, outer, a, b
+  for (std::size_t i = 0; i < phases.size(); ++i) {
+    const ReferenceLinkWalk::Bucket& b = ref.buckets.at(ref.order[i]);
+    EXPECT_EQ(phases[i].phase, ref.order[i]) << i;
+    EXPECT_EQ(phases[i].occupancy, b.occupancy) << i;
+    EXPECT_EQ(phases[i].links, static_cast<index_t>(b.links.size())) << i;
+    EXPECT_EQ(phases[i].peak, ReferenceLinkWalk::peak_of(b.links)) << i;
+    EXPECT_EQ(cm.phase_peak(ref.order[i]), phases[i].peak) << i;
+  }
+  EXPECT_EQ(cm.congested_clock(), ref.congested_clock());
+
+  ASSERT_EQ(cm.samples().size(), ref.samples.size());
+  for (std::size_t i = 0; i < ref.samples.size(); ++i) {
+    EXPECT_EQ(cm.samples()[i].tick, ref.samples[i].tick) << i;
+    EXPECT_EQ(cm.samples()[i].max_link_load, ref.samples[i].max_link_load)
+        << i;
+    EXPECT_EQ(cm.samples()[i].congested_clock,
+              ref.samples[i].congested_clock)
+        << i;
+  }
+
+  expect_matches_reference(lm, ref_cells);
+}
+
 // ---- Zero-length sends, self-sends, empty batches --------------------------
 
 TEST(CongestionEdge, FreeEventsProduceNoOccupancy) {
@@ -520,6 +764,50 @@ TEST(CongestionReset, ClearDropsDataButOpenScopesKeepAttributing) {
   ASSERT_EQ(cm.phase_congestion().size(), 1u);
   EXPECT_EQ(cm.phase_congestion()[0].phase, id);
   EXPECT_EQ(cm.occupancy(Link{{3, 3}, {4, 3}}), 1);
+}
+
+TEST(CongestionReset, ResetLinksStartOverAtOne) {
+  // The same four links (one per direction) before and after a reset,
+  // then one link on a page nothing touched before: storage the reset
+  // dropped must not be written or read again.
+  Machine m;
+  CongestionMap cm;
+  m.set_trace(&cm);
+  const std::vector<Link> star{Link{{5, 5}, {4, 5}}, Link{{5, 5}, {6, 5}},
+                               Link{{5, 5}, {5, 4}}, Link{{5, 5}, {5, 6}}};
+  const auto send_star = [&] {
+    Machine::PhaseScope scope(m, "cong_reuse_star");
+    for (const Link& l : star) (void)m.send(l.from, l.to, Clock{});
+  };
+  send_star();
+  send_star();
+  m.reset();
+  send_star();
+  const Link fresh{{5, 300}, {5, 301}};
+  {
+    Machine::PhaseScope scope(m, "cong_reuse_fresh");
+    (void)m.send(fresh.from, fresh.to, Clock{});
+  }
+  m.set_trace(nullptr);
+
+  for (const Link& l : star) EXPECT_EQ(cm.occupancy(l), 1) << l.str();
+  EXPECT_EQ(cm.occupancy(fresh), 1);
+  EXPECT_EQ(cm.links(), 5);
+  EXPECT_EQ(cm.total_occupancy(), 5);
+  EXPECT_EQ(cm.max_link_load(), 1);
+  EXPECT_EQ(cm.congested_clock(), 2);
+  const auto phases = cm.phase_congestion();
+  ASSERT_EQ(phases.size(), 2u);
+  EXPECT_EQ(phases[0].phase,
+            PhaseRegistry::instance().intern("cong_reuse_star"));
+  EXPECT_EQ(phases[0].occupancy, 4);
+  EXPECT_EQ(phases[0].links, 4);
+  EXPECT_EQ(phases[0].peak, 1);
+  EXPECT_EQ(phases[1].phase,
+            PhaseRegistry::instance().intern("cong_reuse_fresh"));
+  EXPECT_EQ(phases[1].occupancy, 1);
+  EXPECT_EQ(phases[1].links, 1);
+  EXPECT_EQ(phases[1].peak, 1);
 }
 
 TEST(CongestionReset, LoadMapAccumulatesAcrossResetAndSkipsFreeBulkEntries) {
