@@ -1,6 +1,6 @@
 // Microbenchmark of the simulator's cost-attribution hot path.
 //
-// Every simulated message pays Machine::charge + Machine::observe, so the
+// Every simulated message pays Machine::charge plus a max-clock join, so the
 // events/sec of those paths bounds the input sizes every paper-claim bench
 // can reach. The shapes cover the attribution regimes the algorithms
 // produce:
@@ -27,13 +27,14 @@
 // attribution path show up per PR.
 #include "bench_common.hpp"
 
-#include "spatial/bulk_ab.hpp"
 #include "spatial/grid_array.hpp"
 #include "spatial/machine.hpp"
+#include "spatial/parallel.hpp"
 #include "spatial/profile.hpp"
 
 #include <benchmark/benchmark.h>
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -265,13 +266,14 @@ void BM_BulkSinglePhaseCongestion(benchmark::State& state) {
 BENCHMARK(BM_BulkSinglePhaseCongestion);
 
 // End-to-end routing through the whole stack (GridArray coordinate cache,
-// send_bulk, per-phase attribution): one Z-order -> row-major
-// route_permutation of a 64x64 grid per iteration, under the scalar
-// reference path and the bulk fast path. Identical algorithm code — only
-// the process-wide charging mode differs.
+// per-phase attribution): one Z-order -> row-major permutation of a 64x64
+// grid per iteration. The bulk shape charges it with route_permutation's
+// single send_bulk; the scalar shape charges the same coordinates with a
+// loop of Machine::send.
 constexpr index_t kRoutingSide = 64;
 
-void run_routing(benchmark::State& state) {
+template <class Route>
+void run_routing(benchmark::State& state, Route route) {
   const auto n = static_cast<std::size_t>(kRoutingSide * kRoutingSide);
   std::vector<int> values(n);
   for (std::size_t i = 0; i < n; ++i) values[i] = static_cast<int>(i);
@@ -280,8 +282,7 @@ void run_routing(benchmark::State& state) {
     Machine m;
     const auto src =
         GridArray<int>::from_values(region, Layout::kZOrder, values);
-    benchmark::DoNotOptimize(
-        route_permutation(m, src, region, Layout::kRowMajor));
+    benchmark::DoNotOptimize(route(m, src, region));
     benchmark::DoNotOptimize(m.metrics().energy);
   }
   state.SetItemsProcessed(state.iterations() *
@@ -292,14 +293,24 @@ void run_routing(benchmark::State& state) {
 }
 
 void BM_RoutingScalar(benchmark::State& state) {
-  ScopedBulkCharging mode(false);
-  run_routing(state);
+  run_routing(state, [](Machine& m, const GridArray<int>& src, Rect region) {
+    GridArray<int> dst(region, Layout::kRowMajor, src.size());
+    const std::span<const Coord> from = src.coords();
+    const std::span<const Coord> to = dst.coords();
+    for (index_t i = 0; i < src.size(); ++i) {
+      const auto k = static_cast<std::size_t>(i);
+      const Clock arrival = m.send(from[k], to[k], src[i].clock);
+      dst[i] = Cell<int>{src[i].value, arrival};
+    }
+    return dst;
+  });
 }
 BENCHMARK(BM_RoutingScalar);
 
 void BM_RoutingBulk(benchmark::State& state) {
-  ScopedBulkCharging mode(true);
-  run_routing(state);
+  run_routing(state, [](Machine& m, const GridArray<int>& src, Rect region) {
+    return route_permutation(m, src, region, Layout::kRowMajor);
+  });
 }
 BENCHMARK(BM_RoutingBulk);
 
@@ -330,7 +341,6 @@ std::vector<MessageEvent> make_grid_batch(index_t rows, index_t cols) {
 
 void measure_parallel(benchmark::State& state, const parallel::Config& cfg,
                       index_t rows, index_t cols) {
-  ScopedBulkCharging bulk(true);
   parallel::ScopedParallelEngine engine(cfg);
   std::vector<MessageEvent> batch = make_grid_batch(rows, cols);
   Machine m;

@@ -3,23 +3,110 @@
 #include "spatial/trace.hpp"
 #include "spatial/validate.hpp"
 
+#include <cstdint>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 namespace scm {
 
 namespace {
 
-/// One traced execution; the caller installs the charging mode (and, for
-/// the parallel leg, the engine) before calling. `congestion` is either a
-/// serial CongestionMap or a ShardedCongestionMap exposing the same
-/// canonical exports through the lambda pair.
+/// A run's events as the scalar Machine calls that reproduce them. Only
+/// the scalar hooks are overridden, so TraceSink's default bulk hooks hand
+/// over each batch entry by entry, without the zero-length entries that
+/// send() would not charge either.
+class Recording final : public TraceSink {
+ public:
+  void on_message(Coord, Coord, index_t) override {}  // on_send records it
+  void on_send(const MessageEvent& e) override {
+    events_.push_back({Kind::kSend, e.from, e.to, e.payload});
+  }
+  void on_op(index_t n) override {
+    events_.push_back({.kind = Kind::kOp, .n = n});
+  }
+  void on_observe(Clock c) override {
+    events_.push_back({.kind = Kind::kObserve, .clock = c});
+  }
+  void on_birth(Coord at, Clock c) override {
+    events_.push_back({.kind = Kind::kBirth, .at = at, .clock = c});
+  }
+  void on_death(Coord at) override {
+    events_.push_back({.kind = Kind::kDeath, .at = at});
+  }
+  void on_phase_enter(PhaseId id) override {
+    events_.push_back({.kind = Kind::kPhaseEnter, .n = id});
+  }
+  void on_phase_exit(PhaseId) override {
+    events_.push_back({.kind = Kind::kPhaseExit});
+  }
+  void on_reset() override { events_.push_back({.kind = Kind::kReset}); }
+
+  /// Makes the recorded calls on `m`, in order.
+  void replay(Machine& m) const {
+    for (const Event& e : events_) {
+      switch (e.kind) {
+        case Kind::kSend:
+          (void)m.send(e.at, e.to, e.clock);
+          break;
+        case Kind::kOp:
+          m.op(e.n);
+          break;
+        case Kind::kObserve:
+          m.observe(e.clock);
+          break;
+        case Kind::kBirth:
+          m.birth(e.at, e.clock);
+          break;
+        case Kind::kDeath:
+          m.death(e.at);
+          break;
+        case Kind::kPhaseEnter:
+          m.begin_phase(static_cast<PhaseId>(e.n));
+          break;
+        case Kind::kPhaseExit:
+          m.end_phase();
+          break;
+        case Kind::kReset:
+          m.reset();
+          break;
+      }
+    }
+  }
+
+ private:
+  enum class Kind : std::uint8_t {
+    kSend,
+    kOp,
+    kObserve,
+    kBirth,
+    kDeath,
+    kPhaseEnter,
+    kPhaseExit,
+    kReset,
+  };
+  struct Event {
+    Kind kind{};
+    Coord at{};     ///< send source; birth or death site
+    Coord to{};     ///< send destination
+    Clock clock{};  ///< send payload; observed or born clock
+    index_t n{0};   ///< op count; entered phase
+  };
+  std::vector<Event> events_;
+};
+
+/// One traced run of `algorithm` on a fresh Machine, with `recording`
+/// (when not null) beside the checker and the congestion sink. For the
+/// parallel leg the caller installs the engine first. `congestion` is
+/// either a serial CongestionMap or a ShardedCongestionMap exposing the
+/// same canonical exports.
 template <typename Congestion>
 AbRun run_traced(const std::function<void(Machine&)>& algorithm,
-                 Congestion& congestion) {
+                 Congestion& congestion, TraceSink* recording = nullptr) {
   ConformanceChecker::Config config;
   config.strict = false;  // mismatches must surface as AbResult, not abort
   ConformanceChecker checker(config);
-  FanoutSink fanout({&checker, &congestion});
+  FanoutSink fanout({&checker, &congestion, recording});
   Machine m;
   m.set_trace(&fanout);
   algorithm(m);
@@ -34,18 +121,8 @@ AbRun run_traced(const std::function<void(Machine&)>& algorithm,
   return run;
 }
 
-AbRun run_one(const std::function<void(Machine&)>& algorithm, bool bulk) {
-  ScopedBulkCharging mode(bulk);
-  // The scalar run feeds the congestion map per-message replays; the bulk
-  // run exercises its batched on_send_bulk. sorted_links() then compares
-  // the two decompositions link by link.
-  CongestionMap congestion;
-  return run_traced(algorithm, congestion);
-}
-
 AbRun run_parallel(const std::function<void(Machine&)>& algorithm,
                    const parallel::Config& cfg) {
-  ScopedBulkCharging mode(true);
   parallel::ScopedParallelEngine engine(cfg);
   // The sharded sink shares the engine's tiling, so this leg proves both
   // the engine's merged charging and the sharded link decomposition
@@ -157,8 +234,15 @@ std::string AbResult::diff() const {
 
 AbResult run_ab(const std::function<void(Machine&)>& algorithm) {
   AbResult result;
-  result.scalar = run_one(algorithm, /*bulk=*/false);
-  result.bulk = run_one(algorithm, /*bulk=*/true);
+  // The live run feeds its congestion map batched on_send_bulk events,
+  // the replay per-message ones; sorted_links() then compares the two
+  // decompositions link by link.
+  Recording recording;
+  CongestionMap live_links;
+  result.bulk = run_traced(algorithm, live_links, &recording);
+  const auto replay = [&](Machine& m) { recording.replay(m); };
+  CongestionMap replay_links;
+  result.scalar = run_traced(replay, replay_links);
   result.totals_equal = result.scalar.totals == result.bulk.totals;
   result.phases_equal = result.scalar.phases == result.bulk.phases;
   result.links_equal =
@@ -182,9 +266,10 @@ std::string AbcResult::diff() const {
 
 AbcResult run_abc(const std::function<void(Machine&)>& algorithm,
                   const parallel::Config& cfg) {
+  AbResult ab = run_ab(algorithm);
   AbcResult result;
-  result.scalar = run_one(algorithm, /*bulk=*/false);
-  result.bulk = run_one(algorithm, /*bulk=*/true);
+  result.scalar = std::move(ab.scalar);
+  result.bulk = std::move(ab.bulk);
   result.parallel = run_parallel(algorithm, cfg);
   result.totals_equal = result.scalar.totals == result.bulk.totals &&
                         result.scalar.totals == result.parallel.totals;

@@ -3,14 +3,16 @@
 // Machine::send_bulk / birth_bulk / death_bulk promise to be
 // *metrics-identical* to their scalar per-event decompositions: same
 // Metrics totals, same per-phase records, same conformance verdict. This
-// harness makes that contract testable: run_ab executes an algorithm twice
-// on fresh Machines — once with bulk charging disabled (every *_bulk call
-// decomposes into scalar events; the reference) and once with the bulk
-// fast path enabled — each under its own ConformanceChecker plus a
-// CongestionMap (so the batched on_send_bulk link decomposition is proven
-// byte-identical to the scalar replay, link by link), and compares the two
-// runs field by field. tests/test_bulk_equivalence.cpp drives every
-// Table-1 algorithm through it.
+// harness makes that contract testable: run_ab executes an algorithm once,
+// on the bulk fast path, while recording its event stream. It then replays
+// the stream one scalar call per event (send, op, observe, birth, death,
+// begin_phase, end_phase, reset) into a fresh Machine; every batch arrives
+// entry by entry, so the replay is the scalar reference. Each run has its
+// own ConformanceChecker plus a CongestionMap (so the batched on_send_bulk
+// link decomposition is proven byte-identical to the per-message one, link
+// by link), and the two runs are compared field by field.
+// tests/test_bulk_equivalence.cpp drives every Table-1 algorithm through
+// it.
 #pragma once
 
 #include "spatial/congestion.hpp"
@@ -26,22 +28,7 @@
 
 namespace scm {
 
-/// RAII save/restore of the process-wide bulk-charging switch.
-class ScopedBulkCharging {
- public:
-  explicit ScopedBulkCharging(bool enabled)
-      : saved_(Machine::bulk_charging()) {
-    Machine::set_bulk_charging(enabled);
-  }
-  ~ScopedBulkCharging() { Machine::set_bulk_charging(saved_); }
-  ScopedBulkCharging(const ScopedBulkCharging&) = delete;
-  ScopedBulkCharging& operator=(const ScopedBulkCharging&) = delete;
-
- private:
-  bool saved_;
-};
-
-/// One execution of the algorithm under one charging mode.
+/// One run of the algorithm, live on the bulk path or replayed scalar.
 struct AbRun {
   Metrics totals{};
   std::map<std::string, Metrics> phases;
@@ -73,13 +60,13 @@ struct AbResult {
   [[nodiscard]] std::string diff() const;
 };
 
-/// Runs `algorithm` twice on fresh Machines — scalar reference first, then
-/// the bulk fast path — each traced by a non-strict ConformanceChecker
-/// (verified at the end), and compares Metrics totals and per-phase maps
-/// for exact equality. The process-wide bulk-charging switch is restored on
-/// return. The callback must be deterministic and self-contained: it
-/// receives the Machine to run on and must not depend on charging mode
-/// (except, of course, through the *_bulk calls under test).
+/// Runs `algorithm` once on a fresh Machine, on the bulk fast path, and
+/// replays its recorded event stream one scalar call per event into a
+/// second fresh Machine, the scalar reference. Each is traced by a
+/// non-strict ConformanceChecker (verified at the end); Metrics totals,
+/// per-phase maps and link occupancy are compared for exact equality. The
+/// callback receives the Machine to run on; its events must reach that
+/// Machine's trace sink, which the harness attaches before the call.
 [[nodiscard]] AbResult run_ab(const std::function<void(Machine&)>& algorithm);
 
 /// The default engine shape of the three-way harness: 4 workers, 64x64
@@ -94,8 +81,8 @@ struct AbResult {
   return cfg;
 }
 
-/// Three runs — scalar reference, serial bulk, sharded parallel — and
-/// their comparison. `parallel` executes under a ScopedParallelEngine and
+/// Three runs — scalar replay, serial bulk, sharded parallel — and their
+/// comparison. `parallel` executes under a ScopedParallelEngine and
 /// records its links through a ShardedCongestionMap with the engine's
 /// tiling, so a mismatch localizes to either the engine's merged charging
 /// or the sharded link decomposition.
@@ -119,11 +106,11 @@ struct AbcResult {
   [[nodiscard]] std::string diff() const;
 };
 
-/// Runs `algorithm` three times on fresh Machines — scalar reference,
-/// serial bulk, and bulk under the sharded parallel engine configured by
-/// `cfg` — and compares Metrics totals, per-phase maps, link occupancies,
-/// and congested clocks for exact (bit-identical) equality. Process-wide
-/// switches (bulk charging, engine configuration) are restored on return.
+/// Runs `algorithm` as run_ab does (serial bulk, then its scalar replay),
+/// then once more under the sharded parallel engine configured by `cfg`,
+/// and compares Metrics totals, per-phase maps, link occupancies, and
+/// congested clocks for exact (bit-identical) equality. The process-wide
+/// engine configuration is restored on return.
 /// tests/test_bulk_equivalence.cpp drives every Table-1 algorithm through
 /// this.
 [[nodiscard]] AbcResult run_abc(

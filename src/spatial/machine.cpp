@@ -10,14 +10,14 @@ namespace scm {
 TraceSink* Machine::global_trace_ = nullptr;
 
 namespace {
-// Process-wide A/B switch for the equivalence harness; `true` is the
-// production fast path.
-bool g_bulk_charging = true;
+/// Joins `c` into `max`; true when a component rose.
+inline bool raise(Clock& max, Clock c) {
+  const Clock joined = Clock::join(max, c);
+  const bool rose = !(joined == max);
+  max = joined;
+  return rose;
+}
 }  // namespace
-
-void Machine::set_bulk_charging(bool enabled) { g_bulk_charging = enabled; }
-
-bool Machine::bulk_charging() { return g_bulk_charging; }
 
 void Machine::set_global_trace(TraceSink* sink) { global_trace_ = sink; }
 
@@ -32,7 +32,7 @@ Clock Machine::send(Coord from, Coord to, Clock payload) {
   if (dist == 0) return payload;
   const Clock arrival = payload.after_hop(dist);
   charge(dist, 1);
-  observe(arrival);
+  join_clock(arrival);
   emit([&](TraceSink& s) {
     s.on_message(from, to, dist);
     s.on_send(MessageEvent{from, to, dist, payload, arrival});
@@ -42,15 +42,6 @@ Clock Machine::send(Coord from, Coord to, Clock payload) {
 
 void Machine::send_bulk(std::span<MessageEvent> batch) {
   if (batch.empty()) return;
-  if (!g_bulk_charging) {
-    // Scalar reference path: decompose in batch order. The arrival clocks
-    // (and filled distances) are the same values the fast path computes.
-    for (MessageEvent& e : batch) {
-      e.distance = manhattan(e.from, e.to);
-      e.arrival = send(e.from, e.to, e.payload);
-    }
-    return;
-  }
   // Sharded fast path: batches at least min_parallel_batch long are
   // charged tile-parallel (spatial/parallel.hpp). The engine fills
   // distance/arrival in place, merges per-worker aggregates in fixed
@@ -121,21 +112,25 @@ void Machine::op(index_t n) {
 void Machine::op_bulk(index_t n) {
   // local_ops simply sums, so one op(n) is already metrics-identical to
   // any per-iteration decomposition; the bulk name documents intent at
-  // batched call sites. Sinks see a single on_op(n) in both modes (the
-  // scalar path never reported op granularity either).
+  // batched call sites. Sinks see a single on_op(n).
   op(n);
 }
 
 void Machine::observe(Clock c) {
-  totals_.max_clock = Clock::join(totals_.max_clock, c);
+  if (join_clock(c)) emit([&](TraceSink& s) { s.on_observe(c); });
+}
+
+bool Machine::join_clock(Clock c) {
+  bool changed = raise(totals_.max_clock, c);
   for (const PhaseId id : active_) {
-    Metrics& pm = slot(id);
-    pm.max_clock = Clock::join(pm.max_clock, c);
+    changed |= touched_flag_[id] == 0;  // first touch: phases() gains it
+    changed |= raise(slot(id).max_clock, c);
   }
+  return changed;
 }
 
 void Machine::birth(Coord at, Clock c) {
-  observe(c);
+  join_clock(c);
   emit([&](TraceSink& s) { s.on_birth(at, c); });
 }
 
@@ -145,10 +140,6 @@ void Machine::death(Coord at) {
 
 void Machine::birth_bulk(std::span<const BirthEvent> batch) {
   if (batch.empty()) return;
-  if (!g_bulk_charging) {
-    for (const BirthEvent& b : batch) birth(b.at, b.clock);
-    return;
-  }
   Clock max{};
   // Births have no per-entry charge, only the clock-join reduction, so
   // the parallel engine's contribution is a block-partitioned max.
@@ -159,16 +150,12 @@ void Machine::birth_bulk(std::span<const BirthEvent> batch) {
   } else {
     for (const BirthEvent& b : batch) max = Clock::join(max, b.clock);
   }
-  observe(max);
+  join_clock(max);
   emit([&](TraceSink& s) { s.on_birth_bulk(batch); });
 }
 
 void Machine::death_bulk(std::span<const Coord> batch) {
   if (batch.empty()) return;
-  if (!g_bulk_charging) {
-    for (const Coord c : batch) death(c);
-    return;
-  }
   emit([&](TraceSink& s) { s.on_death_bulk(batch); });
 }
 

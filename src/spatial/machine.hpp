@@ -66,10 +66,10 @@ class Machine {
   /// (phases cannot change mid-batch — the whole batch is attributed to
   /// the phase set active at this call), and attached sinks receive one
   /// on_send_bulk event instead of up to two virtual dispatches per
-  /// message. No event is emitted when every entry is zero-length.
-  ///
-  /// When bulk charging is disabled (set_bulk_charging(false) — the A/B
-  /// reference mode), the batch decomposes into scalar send() calls.
+  /// message. No event is emitted when every entry is zero-length. The
+  /// A/B harness (spatial/bulk_ab.hpp) holds the fast path to this
+  /// contract by replaying a bulk run's events entry by entry through
+  /// send() on a fresh Machine.
   void send_bulk(std::span<MessageEvent> batch);
 
   /// Records `n` local compute operations (free in the model's metrics;
@@ -84,7 +84,11 @@ class Machine {
 
   /// Records that a value with clock `c` now exists (used when a clock is
   /// produced by pure local combination so the running maximum stays
-  /// correct even if the value is never sent again).
+  /// correct even if the value is never sent again). Sinks receive
+  /// on_observe(c) exactly when the call changes a record: the totals' or
+  /// an active phase's max clock rises, or an active phase is touched for
+  /// the first time. Any other observe leaves every record as it was, so
+  /// replaying the reported calls reproduces every per-phase max clock.
   void observe(Clock c);
 
   /// Declares that a value with clock `c` is resident at processor `at`
@@ -97,21 +101,14 @@ class Machine {
   /// or freed. Free in the model's metrics; reported to trace sinks.
   void death(Coord at);
 
-  /// Bulk value placement (GridArray::announce): observes the join of all
-  /// birth clocks once and emits a single on_birth_bulk event.
+  /// Bulk value placement (GridArray::announce): raises the max clocks
+  /// once by the join of all birth clocks and emits a single
+  /// on_birth_bulk event.
   /// Metrics-identical to per-entry birth() in batch order.
   void birth_bulk(std::span<const BirthEvent> batch);
 
   /// Bulk value retirement (GridArray::retire): one on_death_bulk event.
   void death_bulk(std::span<const Coord> batch);
-
-  /// Process-wide switch between the bulk fast path (default) and the
-  /// scalar reference path, in which every *_bulk call decomposes into
-  /// its per-event scalar form. The two paths are metrics-identical by
-  /// contract; the A/B equivalence harness (spatial/bulk_ab.hpp) runs
-  /// algorithms under both and asserts it.
-  static void set_bulk_charging(bool enabled);
-  [[nodiscard]] static bool bulk_charging();
 
   /// Costs accumulated since construction (or the last reset).
   [[nodiscard]] const Metrics& metrics() const { return totals_; }
@@ -196,6 +193,12 @@ class Machine {
 
  private:
   void charge(index_t energy, index_t messages);
+
+  /// observe() without the event: joins `c` into the totals' and every
+  /// active phase's max clock, and says whether any record changed. send,
+  /// birth and birth_bulk raise clocks through it, since replaying their
+  /// own events raises the same clocks.
+  bool join_clock(Clock c);
 
   /// One merged flush of a send batch into the totals and every active
   /// phase — the single code path shared by the serial bulk loop and the

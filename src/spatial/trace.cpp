@@ -26,6 +26,10 @@ void FanoutSink::on_op(index_t n) {
   for (TraceSink* s : sinks_) s->on_op(n);
 }
 
+void FanoutSink::on_observe(Clock c) {
+  for (TraceSink* s : sinks_) s->on_observe(c);
+}
+
 void FanoutSink::on_birth(Coord at, Clock c) {
   for (TraceSink* s : sinks_) s->on_birth(at, c);
 }

@@ -3,8 +3,11 @@
 // Energy is the paper's proxy for total network load; this module makes
 // the model's state transitions observable. A TraceSink attached to a
 // Machine receives every charged message plus the model-level lifecycle
-// events (value births/deaths, phase boundaries, resets) that the
-// conformance checker (spatial/validate.hpp) enforces invariants over.
+// events (value births/deaths, clock observations, phase boundaries,
+// resets) that the conformance checker (spatial/validate.hpp) enforces
+// invariants over. Together they are a complete record of a run's costs:
+// replaying them one scalar call per event through a fresh Machine
+// reproduces its totals and per-phase records (spatial/bulk_ab.hpp).
 // The sinks that show where traffic goes — per processor (LoadMap) and
 // per link (CongestionMap) — live in spatial/congestion.hpp.
 #pragma once
@@ -79,6 +82,13 @@ class TraceSink {
   /// work per phase.
   virtual void on_op(index_t n) { (void)n; }
 
+  /// Machine::observe(c) changed a record: it raised the totals' or an
+  /// active phase's max clock, or touched an active phase for the first
+  /// time. observe calls that change nothing, and the clock joins inside
+  /// send, birth and birth_bulk, report nothing; replaying the reported
+  /// events through a fresh Machine reproduces every max clock.
+  virtual void on_observe(Clock c) { (void)c; }
+
   /// A value with clock `c` became resident at processor `at` without a
   /// message (input placement; Machine::birth).
   virtual void on_birth(Coord at, Clock c) {
@@ -134,6 +144,7 @@ class FanoutSink final : public TraceSink {
   void on_send(const MessageEvent& e) override;
   void on_send_bulk(std::span<const MessageEvent> batch) override;
   void on_op(index_t n) override;
+  void on_observe(Clock c) override;
   void on_birth(Coord at, Clock c) override;
   void on_birth_bulk(std::span<const BirthEvent> batch) override;
   void on_death(Coord at) override;

@@ -15,8 +15,8 @@
 //       --parallel-every=N / --parallel-threads=T / --parallel-tile=WxH
 //       tune the parallel-oracle cadence of the main loop (0 disables).
 //
-//   scm_fuzz --fit-bounds --bounds=testing/bounds.json --cases=4000 \
-//       --fit-seeds=1,2,3
+//   scm_fuzz --fit-bounds --bounds=testing/bounds.json
+//            --cases=4000 --fit-seeds=1,2,3
 //       re-fits the certificate constants from scratch and writes the
 //       bounds file (run after intentionally changing an algorithm's
 //       cost). --fit-seeds runs one fitting pass per seed so the fitted

@@ -353,7 +353,6 @@ FuzzRunner::Verdict FuzzRunner::evaluate(const Property& prop,
     cfg.tile_rows = config_.parallel_tile_rows;
     cfg.tile_cols = config_.parallel_tile_cols;
     cfg.min_parallel_batch = 1;
-    const ScopedBulkCharging bulk(true);
     const parallel::ScopedParallelEngine engine(cfg);
     const Execution par = execute(prop, in);
     if (!par.conformance_ok) {

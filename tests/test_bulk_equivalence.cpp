@@ -1,10 +1,13 @@
 // The bulk-charging engine's metrics-identity contract (spatial/bulk_ab):
 //   * every Table-1 algorithm produces byte-identical Metrics totals and
-//     per-phase records through the scalar and bulk charging paths, with a
-//     conformance checker attached and clean;
-//   * the A/B harness itself catches deliberately divergent fake bulk
-//     paths (wrong totals, wrong phase attribution across a phase
-//     boundary) — a harness that cannot fail proves nothing;
+//     per-phase records on the bulk charging path and in the scalar replay
+//     of its recorded events, with a conformance checker attached and
+//     clean;
+//   * the A/B harness itself fails when the recording misses events (wrong
+//     totals, or a phase only one run has) — a harness that cannot fail
+//     proves nothing;
+//   * Machine::observe reports exactly the calls that change a record, so
+//     the replay reproduces every per-phase max clock;
 //   * Machine::send_bulk edge cases: empty batch, all-zero-length batch
 //     (free, unreported), call-time phase-set attribution, arrival-clock
 //     filling;
@@ -131,14 +134,15 @@ TEST(BulkEquivalence, AnnounceRetire) {
   });
 }
 
-// ---- The harness catches divergent fakes ----------------------------------
+// ---- The harness catches divergence and replays every observe -------------
 
 TEST(BulkAbHarness, CatchesDivergentTotals) {
-  // A fake "bulk path" that charges one extra message when bulk charging
-  // is on must be flagged, not silently averaged away.
+  // A send the recording never sees — the bulk run charges it, the replay
+  // cannot — must be flagged, not silently averaged away.
   const AbResult r = run_ab([](Machine& m) {
-    Clock c = m.send({0, 0}, {0, 1}, Clock{});
-    if (Machine::bulk_charging()) c = m.send({0, 1}, {0, 2}, c);
+    const Clock c = m.send({0, 0}, {0, 1}, Clock{});
+    m.set_trace(nullptr);  // the recording misses every later event
+    (void)m.send({0, 1}, {0, 2}, c);
   });
   EXPECT_FALSE(r.ok());
   EXPECT_FALSE(r.totals_equal);
@@ -146,31 +150,57 @@ TEST(BulkAbHarness, CatchesDivergentTotals) {
 }
 
 TEST(BulkAbHarness, CatchesPhaseBoundaryDivergence) {
-  // Same totals, different attribution: a fake bulk path that charges a
-  // "batch" spanning a phase boundary entirely inside the first phase.
-  // Real send_bulk may never do this (the whole batch belongs to the
-  // call-time phase set); the harness must catch an engine that got it
-  // wrong even though the grand totals agree.
+  // Same totals, different attribution: the recording misses a phase whose
+  // only event is an observe below the totals' max clock. The grand totals
+  // agree, so only the per-phase comparison can catch it.
   const AbResult r = run_ab([](Machine& m) {
-    if (Machine::bulk_charging()) {
+    {
       Machine::PhaseScope a(m, "phase_a");
-      (void)m.send({0, 0}, {0, 1}, Clock{});
-      (void)m.send({0, 1}, {0, 2}, Clock{});
-    } else {
-      {
-        Machine::PhaseScope a(m, "phase_a");
-        (void)m.send({0, 0}, {0, 1}, Clock{});
-      }
-      {
-        Machine::PhaseScope b(m, "phase_b");
-        (void)m.send({0, 1}, {0, 2}, Clock{});
-      }
+      (void)m.send({0, 0}, {0, 2}, Clock{});
     }
+    m.set_trace(nullptr);  // the recording misses every later event
+    Machine::PhaseScope b(m, "phase_b");
+    m.observe(Clock{1, 1});
   });
   EXPECT_FALSE(r.ok());
   EXPECT_TRUE(r.totals_equal);
   EXPECT_FALSE(r.phases_equal);
-  EXPECT_NE(r.diff().find("phase_b"), std::string::npos) << r.diff();
+  const std::string diff = r.diff();
+  EXPECT_NE(diff.find("\"phase_b\": present in bulk only"), diff.npos) << diff;
+}
+
+TEST(BulkAbHarness, ReplaysObserveOfAnEarlierPhasesClock) {
+  // A phase observes a clock an earlier phase produced: the totals' max
+  // clock stays put and only the later phase's rises, so the replay
+  // matches only if that observe is reported.
+  const AbResult r = run_ab([](Machine& m) {
+    Clock c{};
+    {
+      Machine::PhaseScope produce(m, "produce");
+      c = m.send({0, 0}, {0, 4}, Clock{});
+      c = m.send({0, 4}, {0, 0}, c);
+    }
+    Machine::PhaseScope consume(m, "consume");
+    (void)m.send({1, 0}, {1, 1}, Clock{});
+    m.observe(c);
+  });
+  EXPECT_TRUE(r.ok()) << r.diff();
+  EXPECT_EQ(r.bulk.phases.at("consume").max_clock, (Clock{2, 8}));
+  EXPECT_EQ(r.scalar.phases.at("consume").max_clock, (Clock{2, 8}));
+}
+
+TEST(BulkAbHarness, ReplaysPhaseTouchedOnlyByObserve) {
+  // A phase whose only event is an observe of an already-counted clock:
+  // the clock is zero, so the first touch is the only record it changes,
+  // and the phase must still appear in both runs.
+  const AbResult r = run_ab([](Machine& m) {
+    (void)m.send({0, 0}, {0, 2}, Clock{});
+    Machine::PhaseScope quiet(m, "quiet");
+    m.observe(Clock{});
+  });
+  EXPECT_TRUE(r.ok()) << r.diff();
+  EXPECT_TRUE(r.bulk.phases.contains("quiet"));
+  EXPECT_TRUE(r.scalar.phases.contains("quiet"));
 }
 
 TEST(BulkAbHarness, CatchesParallelOnlyDivergence) {
@@ -188,6 +218,60 @@ TEST(BulkAbHarness, CatchesParallelOnlyDivergence) {
   EXPECT_FALSE(r.totals_equal);
   EXPECT_EQ(r.scalar.totals, r.bulk.totals);
   EXPECT_NE(r.diff().find("parallel"), std::string::npos) << r.diff();
+}
+
+// ---- on_observe ------------------------------------------------------------
+
+/// Collects every on_observe clock.
+class ObserveSink final : public TraceSink {
+ public:
+  void on_message(Coord, Coord, index_t) override {}
+  void on_observe(Clock c) override { observed.push_back(c); }
+
+  std::vector<Clock> observed;
+};
+
+TEST(Observe, EmitsExactlyWhenARecordChanges) {
+  ObserveSink sink;
+  Machine m;
+  m.set_trace(&sink);
+  m.observe(Clock{2, 5});  // the totals' max clock rises
+  m.observe(Clock{2, 5});  // no change
+  m.observe(Clock{1, 9});  // the totals' distance rises
+  m.observe(Clock{2, 9});  // no change: equals the totals' max
+  {
+    Machine::PhaseScope p(m, "p");
+    m.observe(Clock{});      // first touch of "p"
+    m.observe(Clock{});      // no change
+    m.observe(Clock{1, 1});  // only p's max clock rises
+    m.observe(Clock{1, 1});  // no change
+    Machine::PhaseScope q(m, "q");
+    m.op();              // touches "q" with a zero max clock
+    m.observe(Clock{});  // no change
+  }
+  m.observe(Clock{1, 1});  // no change, no phase active
+  EXPECT_EQ(sink.observed, (std::vector<Clock>{{2, 5}, {1, 9}, {}, {1, 1}}));
+  m.set_trace(nullptr);
+}
+
+TEST(Observe, SendAndBirthsJoinClocksSilentlyAndFanoutForwards) {
+  ObserveSink sink;
+  FanoutSink fanout({&sink});
+  Machine m;
+  m.set_trace(&fanout);
+  {
+    Machine::PhaseScope p(m, "p");
+    (void)m.send({0, 0}, {0, 3}, Clock{});
+    m.birth({1, 1}, Clock{4, 4});
+    const std::vector<BirthEvent> births = {{{2, 2}, Clock{5, 5}}};
+    m.birth_bulk(births);
+    EXPECT_TRUE(sink.observed.empty());
+    EXPECT_EQ(m.metrics().max_clock, (Clock{5, 5}));
+    EXPECT_EQ(m.phase("p").max_clock, (Clock{5, 5}));
+    m.observe(Clock{6, 6});
+  }
+  EXPECT_EQ(sink.observed, (std::vector<Clock>{{6, 6}}));
+  m.set_trace(nullptr);
 }
 
 // ---- send_bulk edge cases --------------------------------------------------
@@ -259,23 +343,28 @@ TEST(SendBulk, FillsDistancesAndArrivalClocks) {
 }
 
 TEST(SendBulk, BatchAttributesToCallTimePhaseSet) {
-  // The whole batch belongs to the phase set active at the call — in both
-  // charging modes — and a batch issued between phases belongs to none.
+  // The whole batch belongs to the phase set active at the call — exactly
+  // as per-entry sends on a second Machine — and a batch issued between
+  // phases belongs to none.
   for (const bool bulk : {false, true}) {
-    ScopedBulkCharging mode(bulk);
     Machine m;
     std::vector<MessageEvent> batch(2);
-    auto fill = [&] {
+    auto charge = [&] {
       batch[0] = MessageEvent{{0, 0}, {0, 1}, 0, Clock{}, Clock{}};
       batch[1] = MessageEvent{{0, 1}, {0, 3}, 0, Clock{}, Clock{}};
+      if (bulk) {
+        m.send_bulk(batch);
+      } else {
+        for (const MessageEvent& e : batch) {
+          (void)m.send(e.from, e.to, e.payload);
+        }
+      }
     };
     {
       Machine::PhaseScope inside(m, "inside");
-      fill();
-      m.send_bulk(batch);
+      charge();
     }
-    fill();
-    m.send_bulk(batch);  // outside any phase
+    charge();  // outside any phase
     EXPECT_EQ(m.phase("inside").energy, 3) << "bulk=" << bulk;
     EXPECT_EQ(m.phase("inside").messages, 2) << "bulk=" << bulk;
     EXPECT_EQ(m.metrics().energy, 6) << "bulk=" << bulk;
@@ -284,16 +373,22 @@ TEST(SendBulk, BatchAttributesToCallTimePhaseSet) {
 }
 
 TEST(BirthDeathBulk, ReplayMatchesScalar) {
+  // birth_bulk / death_bulk against per-entry birth / death on a second
+  // Machine: the same events reach the sink and the same clock is joined.
+  const std::vector<BirthEvent> births = {
+      {{0, 0}, Clock{1, 2}}, {{0, 1}, Clock{3, 4}}, {{1, 0}, Clock{}}};
+  const std::vector<Coord> deaths = {{0, 0}, {0, 1}, {1, 0}};
   for (const bool bulk : {false, true}) {
-    ScopedBulkCharging mode(bulk);
     CountingSink sink;
     Machine m;
     m.set_trace(&sink);
-    const std::vector<BirthEvent> births = {
-        {{0, 0}, Clock{1, 2}}, {{0, 1}, Clock{3, 4}}, {{1, 0}, Clock{}}};
-    m.birth_bulk(births);
-    const std::vector<Coord> deaths = {{0, 0}, {0, 1}, {1, 0}};
-    m.death_bulk(deaths);
+    if (bulk) {
+      m.birth_bulk(births);
+      m.death_bulk(deaths);
+    } else {
+      for (const BirthEvent& b : births) m.birth(b.at, b.clock);
+      for (const Coord c : deaths) m.death(c);
+    }
     EXPECT_EQ(sink.births, 3) << "bulk=" << bulk;
     EXPECT_EQ(sink.deaths, 3) << "bulk=" << bulk;
     EXPECT_EQ(m.metrics().max_clock, (Clock{3, 4})) << "bulk=" << bulk;

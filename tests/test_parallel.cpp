@@ -8,7 +8,6 @@
 #include "spatial/parallel.hpp"
 
 #include "core/scm.hpp"
-#include "spatial/bulk_ab.hpp"
 #include "spatial/congestion.hpp"
 #include "spatial/geometry.hpp"
 #include "spatial/independence.hpp"
@@ -213,7 +212,6 @@ struct RunOutput {
 };
 
 RunOutput run_bulk(const Config* cfg) {
-  const ScopedBulkCharging bulk(true);
   RunOutput out;
   out.charged = make_batch(400);
   Machine m;
@@ -313,7 +311,6 @@ TEST(ParallelEngine, MachineDegradesUnprovenBatchToScalar) {
   // independence checker; mute it — the point here is the engine's safe
   // fallback, whose totals must match the scalar decomposition.
   const ScopedGlobalTraceSuspension mute;
-  const ScopedBulkCharging bulk(true);
   std::vector<MessageEvent> racy(2);
   racy[0].from = Coord{0, 0};
   racy[0].to = Coord{5, 5};
@@ -453,7 +450,6 @@ TEST(ShardedCongestion, ResetPreservesPhaseStackLikeSerial) {
 // ---- phases() caching (satellite: Machine::phases materialization) --------
 
 TEST(MachinePhases, CachedReferenceInvalidatedOnMutation) {
-  const ScopedBulkCharging bulk(true);
   Machine m;
   {
     const Machine::PhaseScope p(m, "alpha");

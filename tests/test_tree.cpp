@@ -115,7 +115,9 @@ TEST(TreeMachine, EulerTourMatchesHostEverywhere) {
       EXPECT_EQ(tour.depth, want.depth);
       EXPECT_EQ(tour.first, want.first);
       EXPECT_EQ(tour.last, want.last);
-      if (n > 1) EXPECT_GT(m.metrics().depth(), 0) << "n=" << n;
+      if (n > 1) {
+        EXPECT_GT(m.metrics().depth(), 0) << "n=" << n;
+      }
     }
   }
 }
