@@ -161,9 +161,11 @@ void BM_SinglePhaseCongestion(benchmark::State& state) {
 }
 BENCHMARK(BM_SinglePhaseCongestion);
 
-// Tree profiler + critical-path witness recorder: adds the per-event
-// witness append + two hash try_emplaces. This is the opt-in worst case
-// (--profile with witness on).
+// Tree profiler + critical-path witness recorder: adds two hash
+// try_emplaces per event, plus an event append whenever the event first
+// achieves a depth or distance value. run_event_batch is one dependent
+// chain, so every message is a first achiever and this shape pays the
+// append per message: the opt-in worst case (--profile with witness on).
 void BM_SinglePhaseWitness(benchmark::State& state) {
   Machine m;
   Profiler profiler(Profiler::Options{.witness = true, .load_map = false});

@@ -4,6 +4,7 @@
 #include "spatial/validate.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -122,11 +123,10 @@ void IndependenceChecker::ring_push(const MessageEvent& e) {
   if (config_.backtrace_capacity == 0) return;
   if (ring_.size() < config_.backtrace_capacity) {
     ring_.push_back(e);
-    ring_next_ = ring_.size() % config_.backtrace_capacity;
   } else {
     ring_[ring_next_] = e;
-    ring_next_ = (ring_next_ + 1) % ring_.size();
   }
+  if (++ring_next_ == config_.backtrace_capacity) ring_next_ = 0;
 }
 
 void IndependenceChecker::new_epoch() { dead_.clear(); }
@@ -149,20 +149,52 @@ void IndependenceChecker::on_send(const MessageEvent& e) {
 
 void IndependenceChecker::on_send_bulk(
     std::span<const MessageEvent> batch) {
+  // Each entry names at most two cells, so a table of at least 4x the
+  // batch is at most half full. It is empty here; growing it only
+  // reallocates.
+  const std::size_t want =
+      std::bit_ceil(4 * std::max<std::size_t>(batch.size(), 1));
+  if (degrees_.size() < want) {
+    degrees_.assign(want, DegreeSlot{});
+    touched_.resize(want / 2);
+  }
+  DegreeSlot* const table = degrees_.data();
+  std::size_t* const touched = touched_.data();
+  const std::size_t mask = degrees_.size() - 1;
+  const unsigned shift =
+      64 - static_cast<unsigned>(std::countr_zero(degrees_.size()));
+  std::size_t claimed = 0;
+
   // One pass over the charged entries builds the per-cell in/out degrees.
-  struct Degrees {
-    index_t in{0};
-    index_t out{0};
-  };
-  std::unordered_map<Coord, Degrees, CoordHash> deg;
-  deg.reserve(batch.size() * 2);
+  // The probe is written out in the loop on purpose: GCC leaves a probe
+  // helper out of line, and a call per lookup made the table no faster
+  // than a node-based map.
   index_t charged = 0;
   for (const MessageEvent& e : batch) {
     if (e.distance == 0) continue;  // free in the model, never delivered
     ++charged;
-    ++deg[e.to].in;
-    ++deg[e.from].out;
     ring_push(e);
+    for (const bool is_to : {true, false}) {
+      const Coord c = is_to ? e.to : e.from;
+      // A multiplicative mix of the full coordinate; the top bits pick
+      // the home slot, and linear probing finds or claims the cell's.
+      const std::uint64_t h =
+          (static_cast<std::uint64_t>(c.row) * 0x9E3779B97F4A7C15ULL +
+           static_cast<std::uint64_t>(c.col)) *
+          0xC2B2AE3D27D4EB4FULL;
+      std::size_t i = h >> shift;
+      while (true) {
+        DegreeSlot& s = table[i];
+        if (s.in == 0 && s.out == 0) {
+          s.at = c;
+          touched[claimed++] = i;
+          break;
+        }
+        if (s.at == c) break;
+        i = (i + 1) & mask;
+      }
+      ++(is_to ? table[i].in : table[i].out);
+    }
   }
   if (charged == 0) return;
 
@@ -177,26 +209,32 @@ void IndependenceChecker::on_send_bulk(
   if (exempt) ++report_.exempted_batches;
 
   // Collect only the cells that break one of the rules below, so a clean
-  // batch sorts nothing.
-  std::vector<std::pair<Coord, Degrees>> flagged;
-  for (const auto& [c, d] : deg) {
-    report_.max_fan_in = std::max(report_.max_fan_in, d.in);
-    fp.max_fan_in = std::max(fp.max_fan_in, d.in);
+  // batch sorts nothing, and empty the claimed slots for the next batch.
+  const bool any_dead = !dead_.empty();
+  std::uint32_t fan_in = 0;
+  std::vector<DegreeSlot> flagged;
+  for (std::size_t k = 0; k < claimed; ++k) {
+    DegreeSlot& slot = table[touched[k]];
+    const DegreeSlot d = slot;
+    slot = DegreeSlot{};
+    fan_in = std::max(fan_in, d.in);
     if ((d.in >= 2 && !exempt) ||
         (d.in >= 1 && d.out >= 1 &&
-         (d.in >= 2 || d.out >= 2 || dead_.contains(c)))) {
-      flagged.emplace_back(c, d);
+         (d.in >= 2 || d.out >= 2 || (any_dead && dead_.contains(d.at))))) {
+      flagged.push_back(d);
     }
   }
+  report_.max_fan_in = std::max<index_t>(report_.max_fan_in, fan_in);
+  fp.max_fan_in = std::max<index_t>(fp.max_fan_in, fan_in);
   // Deterministic reports: visit conflicted cells in coordinate order
-  // (the degree map's iteration order is not stable across platforms).
+  // (the table's claim order depends on its hash and size).
   std::sort(flagged.begin(), flagged.end(),
-            [](const auto& a, const auto& b) {
-              return a.first.row != b.first.row
-                         ? a.first.row < b.first.row
-                         : a.first.col < b.first.col;
+            [](const DegreeSlot& a, const DegreeSlot& b) {
+              return a.at.row != b.at.row ? a.at.row < b.at.row
+                                          : a.at.col < b.at.col;
             });
-  for (const auto& [c, d] : flagged) {
+  for (const DegreeSlot& d : flagged) {
+    const Coord c = d.at;
     if (d.in >= 2 && !exempt) {
       std::ostringstream os;
       os << d.in << " of " << charged
@@ -230,6 +268,7 @@ void IndependenceChecker::on_send_bulk(
 
   // Occupancy update happens after analysis: the hazard rule reasons
   // about the state at batch start.
+  if (!any_dead) return;
   for (const MessageEvent& e : batch) {
     if (e.distance == 0) continue;
     dead_.erase(e.to);

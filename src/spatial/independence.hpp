@@ -68,9 +68,9 @@
 #include "spatial/trace.hpp"
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -183,6 +183,15 @@ class IndependenceChecker final : public TraceSink {
   [[nodiscard]] static bool strict_model_default();
 
  private:
+  /// One cell's in/out degree within the batch under analysis. A slot
+  /// with in == out == 0 is empty: a claimed slot counts at least one
+  /// endpoint.
+  struct DegreeSlot {
+    Coord at{};
+    std::uint32_t in{0};
+    std::uint32_t out{0};
+  };
+
   void record(IndependenceViolationKind kind, Coord at, std::string detail);
   void ring_push(const MessageEvent& e);
   void new_epoch();
@@ -197,6 +206,17 @@ class IndependenceChecker final : public TraceSink {
   std::unordered_set<Coord, CoordHash> dead_;
   std::vector<MessageEvent> ring_;
   std::size_t ring_next_{0};
+  // Per-batch degree table: open addressing with linear probing, keyed by
+  // the full Coord (no two cells alias, whatever their range). Its size is
+  // a power of two at least 4x the largest batch seen so far, so with at
+  // most two cells per entry it is at most half full. It is empty between
+  // batches and kept across them: each batch resets only the slots it
+  // claimed (their indices go to touched_, half the table's length), so a
+  // small batch after a large one costs only its own size. Retained
+  // memory, per entry of the largest batch seen: 4-8 slots of 24 bytes
+  // plus 2-4 indices of 8 bytes (768 + 128 KiB for 8192-entry batches).
+  std::vector<DegreeSlot> degrees_;
+  std::vector<std::size_t> touched_;
 };
 
 }  // namespace scm

@@ -218,10 +218,14 @@ void Profiler::on_death_bulk(std::span<const Coord> batch) {
 }
 
 void Profiler::record_witness(const WitnessEvent& e) {
+  // reconstruct_chain reads first achievers only, so an event that
+  // achieves no new depth or distance value is never needed. Both
+  // emplaces must run: one event may be first for either component.
   const auto idx = static_cast<std::uint32_t>(events_.size());
-  events_.push_back(e);
-  first_depth_.try_emplace(e.arrival.depth, idx);
-  first_distance_.try_emplace(e.arrival.distance, idx);
+  const bool new_depth = first_depth_.try_emplace(e.arrival.depth, idx).second;
+  const bool new_distance =
+      first_distance_.try_emplace(e.arrival.distance, idx).second;
+  if (new_depth || new_distance) events_.push_back(e);
 }
 
 void Profiler::on_phase_enter(PhaseId id) {

@@ -94,8 +94,10 @@ class Profiler final : public TraceSink {
 
   struct Options {
     /// Record per-value witness events so critical_path() can reconstruct
-    /// the exact chains realizing depth and distance. Costs O(1) hash
-    /// work and ~80 bytes per message/birth; off by default so the plain
+    /// the exact chains realizing depth and distance. Costs two hash
+    /// lookups per message/birth, and ~80 bytes per event that first
+    /// achieves a depth or distance value (memory is O(distinct depth +
+    /// distance values), not O(messages)); off by default so the plain
     /// tree profiler stays cheap.
     bool witness{false};
 
@@ -117,7 +119,7 @@ class Profiler final : public TraceSink {
     /// land in the report, never abort) and export its conflict counts
     /// and per-phase batch footprints as the run report's "independence"
     /// section, so CI can assert zero conflicts from artifacts. Costs one
-    /// O(batch) degree-map pass per bulk event; on by default because
+    /// O(batch) degree-table pass per bulk event; on by default because
     /// every standard --profile artifact should carry the verdict.
     bool independence{true};
   };
@@ -290,8 +292,14 @@ class Profiler final : public TraceSink {
   std::vector<ScopeEvent> scopes_;
   std::uint64_t ticks_{0};
 
-  // Witness record: the event stream plus, per clock-component value, the
-  // index of the first event achieving it.
+  // Witness record: per clock-component value, the index into events_ of
+  // the first event achieving it. events_ keeps only those first
+  // achievers (an event is appended when it is first for its depth, its
+  // distance, or both), so the record is O(distinct depth + distance
+  // values), not O(messages). The maps stay hash maps rather than arrays
+  // indexed by component: Machine::birth accepts arbitrary clocks, so an
+  // array would need a sparse fallback, a second code path for a few
+  // percent of a profiled run.
   std::vector<WitnessEvent> events_;
   std::unordered_map<index_t, std::uint32_t> first_depth_;
   std::unordered_map<index_t, std::uint32_t> first_distance_;

@@ -5,7 +5,9 @@
 // annotation machinery, the profiler's run-report export, and the fuzzer
 // integration (an injected overlapping batch is caught as an
 // "independence" finding, carries a replay token, and shrinks to the
-// minimal witness).
+// minimal witness). A seeded event stream also runs through the checker
+// and a per-batch reference over ordered maps, whose reports must agree
+// field for field.
 #include "spatial/independence.hpp"
 
 #include "collectives/operators.hpp"
@@ -14,11 +16,17 @@
 #include "spatial/machine.hpp"
 #include "spatial/profile.hpp"
 #include "spatial/validate.hpp"
+#include "testing/gen.hpp"
 #include "testing/runner.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <deque>
+#include <map>
+#include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -356,6 +364,276 @@ TEST(IndependenceAdversarial, StrictDefaultHonorsTheEnvironment) {
 #else
   EXPECT_TRUE(IndependenceChecker::strict_model_default());
 #endif
+}
+
+// --- The degree table against a per-batch reference. --------------------
+
+struct CoordLess {
+  bool operator()(Coord a, Coord b) const {
+    return a.row != b.row ? a.row < b.row : a.col < b.col;
+  }
+};
+
+/// The checker's rules restated one batch at a time over ordered
+/// containers: per-cell degrees in a fresh std::map (which visits cells in
+/// coordinate order), retired cells in a std::set, and the backtrace in a
+/// bounded deque.
+class ReferenceIndependence final : public TraceSink {
+ public:
+  explicit ReferenceIndependence(std::size_t capacity)
+      : capacity_(capacity) {}
+
+  void on_message(Coord from, Coord to, index_t distance) override {
+    (void)from;
+    (void)to;
+    (void)distance;
+  }
+  void on_send(const MessageEvent& e) override {
+    dead_.erase(e.to);
+    push(e);
+  }
+  void on_send_bulk(std::span<const MessageEvent> batch) override {
+    struct Degrees {
+      index_t in{0};
+      index_t out{0};
+    };
+    std::map<Coord, Degrees, CoordLess> deg;
+    index_t charged = 0;
+    for (const MessageEvent& e : batch) {
+      if (e.distance == 0) continue;
+      ++charged;
+      ++deg[e.to].in;
+      ++deg[e.from].out;
+      push(e);
+    }
+    if (charged == 0) return;
+    const bool exempt = ScopedUnorderedDelivery::active();
+    const std::string phase = phase_name();
+    PhaseFootprint& fp = report_.per_phase[phase];
+    ++fp.batches;
+    fp.bulk_messages += charged;
+    fp.max_batch = std::max(fp.max_batch, charged);
+    ++report_.batches;
+    report_.bulk_messages += charged;
+    if (exempt) {
+      ++fp.exempted_batches;
+      ++report_.exempted_batches;
+    }
+    for (const auto& [c, d] : deg) {
+      fp.max_fan_in = std::max(fp.max_fan_in, d.in);
+      report_.max_fan_in = std::max(report_.max_fan_in, d.in);
+      if (exempt) exempt_fan_in_ = std::max(exempt_fan_in_, d.in);
+    }
+    for (const auto& [c, d] : deg) {
+      if (d.in >= 2 && !exempt) {
+        std::ostringstream os;
+        os << d.in << " of " << charged
+           << " batch members deliver to the same destination; delivery "
+              "order within a batch is unspecified. Declare the fan-in "
+              "order-free with ScopedUnorderedDelivery / "
+              "CommutativeDeliveryScope, or split the round";
+        add(IndependenceViolationKind::kWriteWriteConflict, phase, c,
+            os.str());
+      }
+      if (d.in < 1 || d.out < 1) continue;
+      if (dead_.contains(c)) {
+        std::ostringstream os;
+        os << "a batch member sends from a cell another member writes, "
+              "and the cell held no value at batch start (retired earlier "
+              "this epoch): the read can only observe the in-batch "
+              "arrival, so the round depends on intra-batch order (in-"
+           << d.in << "/out-" << d.out << ")";
+        add(IndependenceViolationKind::kReadWriteHazard, phase, c,
+            os.str());
+      }
+      if (d.in >= 2 || d.out >= 2) {
+        std::ostringstream os;
+        os << "cell relays concentrated traffic within one batch (in-"
+           << d.in << "/out-" << d.out
+           << "): gather and scatter fused into one round. Split into "
+              "dependent batches";
+        add(IndependenceViolationKind::kGatherScatterAliasing, phase, c,
+            os.str());
+      }
+    }
+    for (const MessageEvent& e : batch) {
+      if (e.distance != 0) dead_.erase(e.to);
+    }
+  }
+  void on_birth(Coord at, Clock c) override {
+    (void)c;
+    dead_.erase(at);
+  }
+  void on_death(Coord at) override { dead_.insert(at); }
+  void on_phase_enter(PhaseId id) override {
+    phases_.push_back(id);
+    dead_.clear();
+  }
+  void on_phase_exit(PhaseId id) override {
+    (void)id;
+    if (!phases_.empty()) phases_.pop_back();
+    dead_.clear();
+  }
+  void on_reset() override { dead_.clear(); }
+
+  [[nodiscard]] const IndependenceReport& report() const { return report_; }
+  /// Largest in-degree seen inside ScopedUnorderedDelivery.
+  [[nodiscard]] index_t exempt_fan_in() const { return exempt_fan_in_; }
+
+ private:
+  void push(const MessageEvent& e) {
+    if (capacity_ == 0) return;
+    ring_.push_back(e);
+    if (ring_.size() > capacity_) ring_.pop_front();
+  }
+  [[nodiscard]] std::string phase_name() const {
+    return phases_.empty() ? std::string("<top>")
+                           : PhaseRegistry::instance().name(phases_.back());
+  }
+  void add(IndependenceViolationKind kind, const std::string& phase,
+           Coord at, std::string detail) {
+    ++report_.per_phase[phase].conflicts;
+    report_.violations.push_back(IndependenceViolation{
+        kind, phase, at, std::move(detail), {ring_.begin(), ring_.end()}});
+  }
+
+  std::size_t capacity_;
+  IndependenceReport report_;
+  std::vector<PhaseId> phases_;
+  std::set<Coord, CoordLess> dead_;
+  std::deque<MessageEvent> ring_;
+  index_t exempt_fan_in_{0};
+};
+
+bool same_event(const MessageEvent& a, const MessageEvent& b) {
+  return a.from == b.from && a.to == b.to && a.distance == b.distance &&
+         a.payload == b.payload && a.arrival == b.arrival;
+}
+
+void expect_same_report(const IndependenceReport& got,
+                        const IndependenceReport& want) {
+  EXPECT_EQ(got.batches, want.batches);
+  EXPECT_EQ(got.bulk_messages, want.bulk_messages);
+  EXPECT_EQ(got.exempted_batches, want.exempted_batches);
+  EXPECT_EQ(got.max_fan_in, want.max_fan_in);
+  EXPECT_EQ(got.per_phase.size(), want.per_phase.size());
+  for (const auto& [name, w] : want.per_phase) {
+    const auto it = got.per_phase.find(name);
+    ASSERT_NE(it, got.per_phase.end()) << name;
+    const PhaseFootprint& g = it->second;
+    EXPECT_EQ(g.batches, w.batches) << name;
+    EXPECT_EQ(g.bulk_messages, w.bulk_messages) << name;
+    EXPECT_EQ(g.max_batch, w.max_batch) << name;
+    EXPECT_EQ(g.max_fan_in, w.max_fan_in) << name;
+    EXPECT_EQ(g.exempted_batches, w.exempted_batches) << name;
+    EXPECT_EQ(g.conflicts, w.conflicts) << name;
+  }
+  ASSERT_EQ(got.violations.size(), want.violations.size());
+  for (std::size_t i = 0; i < got.violations.size(); ++i) {
+    const IndependenceViolation& g = got.violations[i];
+    const IndependenceViolation& w = want.violations[i];
+    EXPECT_EQ(g.kind, w.kind) << "violation " << i;
+    EXPECT_EQ(g.phase, w.phase) << "violation " << i;
+    EXPECT_EQ(g.at, w.at) << "violation " << i;
+    EXPECT_EQ(g.detail, w.detail) << "violation " << i;
+    EXPECT_TRUE(std::equal(g.backtrace.begin(), g.backtrace.end(),
+                           w.backtrace.begin(), w.backtrace.end(),
+                           same_event))
+        << "violation " << i;
+  }
+}
+
+TEST(IndependenceDegreeTable, MatchesPerBatchMapReference) {
+  const index_t big = index_t{1} << 31;
+  const PhaseId phases[] = {PhaseRegistry::instance().intern("table_a"),
+                            PhaseRegistry::instance().intern("table_b"),
+                            PhaseRegistry::instance().intern("table_c")};
+  for (const std::size_t capacity : {std::size_t{16}, std::size_t{3}}) {
+    SCOPED_TRACE("backtrace capacity " + std::to_string(capacity));
+    IndependenceChecker::Config config = lenient();
+    config.backtrace_capacity = capacity;
+    IndependenceChecker checker(config);
+    ReferenceIndependence ref(capacity);
+    FanoutSink both({&checker, &ref});
+    testing::Rng rng(0x7AB1E + capacity);
+
+    const auto random_cell = [&] {
+      return Coord{rng.uniform(-300, 300), rng.uniform(-300, 300)};
+    };
+    // Small batches draw from a pool, so fan-in, hubs and retired cells
+    // recur. Four cells lie beyond +-2^31; {2^32 + 1, 2} and {1, 2} share
+    // a coord_key.
+    std::vector<Coord> pool;
+    for (int i = 0; i < 40; ++i) pool.push_back(random_cell());
+    pool.insert(pool.end(), {Coord{big + 5, -big - 7},
+                             Coord{-(index_t{1} << 40), 3},
+                             Coord{(index_t{1} << 32) + 1, 2}, Coord{1, 2}});
+    const auto pool_cell = [&] {
+      return pool[static_cast<std::size_t>(
+          rng.uniform(0, static_cast<index_t>(pool.size()) - 1))];
+    };
+    index_t tick = 0;
+    const auto message = [&](Coord from, Coord to) {
+      const Clock payload{tick, 2 * tick};
+      ++tick;
+      const index_t d = manhattan(from, to);
+      return MessageEvent{from, to, d, payload, payload.after_hop(d)};
+    };
+    // One entry; ~1 in 10 is zero-distance (free, never delivered).
+    const auto entry = [&](bool from_pool) {
+      const Coord from = from_pool ? pool_cell() : random_cell();
+      if (rng.chance(0.1)) return message(from, from);
+      return message(from, from_pool ? pool_cell() : random_cell());
+    };
+    const auto small_batch = [&] {
+      std::vector<MessageEvent> batch;
+      const index_t n = rng.uniform(1, 16);
+      for (index_t i = 0; i < n; ++i) batch.push_back(entry(!rng.chance(0.2)));
+      if (rng.chance(0.3)) {
+        ScopedUnorderedDelivery order_free("test: reference stream");
+        both.on_send_bulk(batch);
+      } else {
+        both.on_send_bulk(batch);
+      }
+    };
+    const auto random_event = [&] {
+      const index_t pick = rng.uniform(0, 99);
+      if (pick < 70) {
+        small_batch();
+      } else if (pick < 82) {
+        both.on_death(pool_cell());
+      } else if (pick < 87) {
+        both.on_phase_enter(phases[rng.uniform(0, 2)]);
+      } else if (pick < 92) {
+        both.on_phase_exit(kNoPhase);
+      } else if (pick < 96) {
+        both.on_send(message(pool_cell(), pool_cell()));
+      } else if (pick < 99) {
+        both.on_birth(pool_cell(), Clock{});
+      } else {
+        both.on_reset();
+      }
+    };
+
+    // One small batch, then one 8192-entry batch over mostly distinct
+    // cells (some retired), then hundreds of small batches and events.
+    both.on_phase_enter(phases[0]);
+    small_batch();
+    for (int i = 0; i < 200; ++i) both.on_death(random_cell());
+    std::vector<MessageEvent> large;
+    for (int i = 0; i < 8192; ++i) large.push_back(entry(rng.chance(0.02)));
+    both.on_send_bulk(large);
+    for (int i = 0; i < 800; ++i) random_event();
+
+    const IndependenceReport& want = ref.report();
+    EXPECT_GT(want.count(IndependenceViolationKind::kWriteWriteConflict), 0);
+    EXPECT_GT(want.count(IndependenceViolationKind::kReadWriteHazard), 0);
+    EXPECT_GT(want.count(IndependenceViolationKind::kGatherScatterAliasing),
+              0);
+    EXPECT_GT(want.exempted_batches, 0);
+    EXPECT_GE(ref.exempt_fan_in(), 2);
+    expect_same_report(checker.report(), want);
+  }
 }
 
 // --- Operator annotations. ----------------------------------------------

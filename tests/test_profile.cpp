@@ -7,18 +7,24 @@
 //   * reference recomputation on real algorithm runs (Z-order scan,
 //     bitonic sort): the profiler's totals and rolled-up tree must agree
 //     with the Machine's own Metrics, and the witness chains must realize
-//     the depth / distance identities hop-for-hop.
+//     the depth / distance identities hop-for-hop. A record-everything
+//     reference sink rebuilds the chains from the whole event stream, so
+//     the profiler's compact record must yield the same hops.
 #include "spatial/profile.hpp"
 
 #include "collectives/scan.hpp"
 #include "sort/bitonic.hpp"
 #include "spatial/machine.hpp"
 #include "spatial/rng.hpp"
+#include "testing/gen.hpp"
+#include "tree/euler.hpp"
+#include "tree/tree.hpp"
 #include "util/json.hpp"
 
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -311,6 +317,178 @@ TEST(Witness, UnwitnessedHistoryIsReportedIncomplete) {
   EXPECT_FALSE(path.distance_chain.complete);
   EXPECT_EQ(path.depth_chain.hop_count(), 1);  // the observed suffix
   m.set_trace(nullptr);
+}
+
+/// Reference witness recorder: keeps every send and birth in order, each
+/// with the phase-name stack it was charged under, and rebuilds the chains
+/// from its own first-achiever maps over that whole stream.
+class RecordEverything final : public TraceSink {
+ public:
+  void on_message(Coord from, Coord to, index_t distance) override {
+    (void)from;
+    (void)to;
+    (void)distance;
+  }
+  void on_send(const MessageEvent& e) override {
+    events_.push_back(Event{Profiler::WitnessHop{e.from, e.to, e.distance,
+                                                 e.payload, e.arrival,
+                                                 phases_},
+                            /*is_birth=*/false});
+    max_ = Clock::join(max_, e.arrival);
+  }
+  void on_birth(Coord at, Clock c) override {
+    events_.push_back(
+        Event{Profiler::WitnessHop{at, at, 0, c, c, phases_},
+              /*is_birth=*/true});
+    max_ = Clock::join(max_, c);
+  }
+  void on_phase_enter(PhaseId id) override {
+    phases_.push_back(PhaseRegistry::instance().name(id));
+  }
+  void on_phase_exit(PhaseId id) override {
+    (void)id;
+    if (!phases_.empty()) phases_.pop_back();
+  }
+  void on_reset() override {
+    events_.clear();
+    max_ = Clock{};
+  }
+
+  [[nodiscard]] Profiler::WitnessChain chain(bool by_depth) const {
+    const auto component = [by_depth](Clock c) {
+      return by_depth ? c.depth : c.distance;
+    };
+    std::map<index_t, std::size_t> first;
+    for (std::size_t i = 0; i < events_.size(); ++i) {
+      first.try_emplace(component(events_[i].hop.arrival), i);
+    }
+    Profiler::WitnessChain chain;
+    std::vector<Profiler::WitnessHop> reversed;
+    for (index_t need = component(max_); need > 0;) {
+      const auto it = first.find(need);
+      if (it == first.end()) {
+        chain.complete = false;
+        break;
+      }
+      const Event& e = events_[it->second];
+      if (e.is_birth) {
+        chain.start_clock = e.hop.arrival;
+        break;
+      }
+      reversed.push_back(e.hop);
+      need = component(e.hop.payload);
+    }
+    chain.hops.assign(reversed.rbegin(), reversed.rend());
+    return chain;
+  }
+
+ private:
+  struct Event {
+    Profiler::WitnessHop hop;  // births: from == to, distance 0
+    bool is_birth{false};
+  };
+  std::vector<Event> events_;
+  std::vector<std::string> phases_;
+  Clock max_{};
+};
+
+void expect_same_chain(const Profiler::WitnessChain& got,
+                       const Profiler::WitnessChain& want) {
+  EXPECT_EQ(got.complete, want.complete);
+  EXPECT_EQ(got.start_clock, want.start_clock);
+  ASSERT_EQ(got.hops.size(), want.hops.size());
+  for (std::size_t i = 0; i < got.hops.size(); ++i) {
+    const Profiler::WitnessHop& g = got.hops[i];
+    const Profiler::WitnessHop& w = want.hops[i];
+    EXPECT_EQ(g.from, w.from) << "hop " << i;
+    EXPECT_EQ(g.to, w.to) << "hop " << i;
+    EXPECT_EQ(g.distance, w.distance) << "hop " << i;
+    EXPECT_EQ(g.payload, w.payload) << "hop " << i;
+    EXPECT_EQ(g.arrival, w.arrival) << "hop " << i;
+    EXPECT_EQ(g.phases, w.phases) << "hop " << i;
+  }
+}
+
+/// Runs `body` on a Machine traced by a witnessing Profiler and the
+/// reference side by side, then compares both chains hop for hop.
+void expect_matches_reference(const std::function<void(Machine&)>& body) {
+  Machine m;
+  Profiler p(Profiler::Options{.witness = true});
+  RecordEverything ref;
+  FanoutSink both({&p, &ref});
+  m.set_trace(&both);
+  body(m);
+  const Profiler::CriticalPathWitness path = p.critical_path();
+  ASSERT_TRUE(path.enabled);
+  {
+    SCOPED_TRACE("depth chain");
+    expect_same_chain(path.depth_chain, ref.chain(/*by_depth=*/true));
+  }
+  {
+    SCOPED_TRACE("distance chain");
+    expect_same_chain(path.distance_chain, ref.chain(/*by_depth=*/false));
+  }
+  m.set_trace(nullptr);
+}
+
+TEST(Witness, MatchesRecordEverythingReference) {
+  {
+    SCOPED_TRACE("Z-order scan");
+    expect_matches_reference([](Machine& m) {
+      const auto vals = random_ints(/*seed=*/13, 1024, 0, 99);
+      const std::vector<long long> v(vals.begin(), vals.end());
+      auto a = GridArray<long long>::from_values_square({0, 0}, v);
+      (void)scan(m, a, Plus{});
+    });
+  }
+  {
+    SCOPED_TRACE("bitonic_sort");
+    expect_matches_reference([](Machine& m) {
+      const auto v = random_doubles(/*seed=*/17, 1024);
+      auto a = GridArray<double>::from_values_square({0, 0}, v,
+                                                     Layout::kRowMajor);
+      bitonic_sort(m, a, std::less<double>{});
+    });
+  }
+  {
+    SCOPED_TRACE("tree::euler_tour");
+    expect_matches_reference([](Machine& m) {
+      testing::Rng rng(0x3E7);
+      const index_t n = 200;
+      const tree::Tree t{
+          n, testing::gen_tree(rng, n, testing::TreeShape::kRandomPrufer),
+          0};
+      (void)tree::euler_tour(m, tree::normalize(t), {0, 0});
+    });
+  }
+  {
+    // Births at sparse large clocks anchor the chains, a Machine::reset
+    // drops the history before it, and a payload with no recorded origin
+    // leaves the final chains incomplete. Each stage is compared.
+    SCOPED_TRACE("hand-built stream");
+    const auto stage = [](const std::function<void(Machine&)>& tail) {
+      expect_matches_reference([&](Machine& m) {
+        m.begin_phase("outer");
+        Clock c = m.send({0, 0}, {0, 5}, Clock{});
+        c = m.send({0, 5}, {3, 5}, c);
+        m.reset();
+        m.birth({2, 2}, Clock{1'000'000, 5'000'000});
+        m.birth({9, 9}, Clock{3, 7'000'000});
+        c = m.send({2, 2}, {2, 6}, Clock{1'000'000, 5'000'000});
+        {
+          Machine::PhaseScope inner(m, "inner");
+          c = m.send({2, 6}, {7, 6}, c);
+          (void)m.send({9, 9}, {9, 12}, Clock{3, 7'000'000});
+        }
+        tail(m);
+        m.end_phase();
+      });
+    };
+    stage([](Machine& m) { (void)m; });
+    stage([](Machine& m) {
+      (void)m.send({7, 6}, {7, 8}, Clock{2'000'000, 9'000'000});
+    });
+  }
 }
 
 TEST(Histogram, Log2BucketsAndPercentile) {
