@@ -12,11 +12,6 @@ namespace scm {
 
 namespace {
 
-std::string phase_label(PhaseId id) {
-  return id == kNoPhase ? std::string("<top>")
-                        : PhaseRegistry::instance().name(id);
-}
-
 /// Report order of cells: by row, then column.
 bool coord_before(Coord a, Coord b) {
   return a.row != b.row ? a.row < b.row : a.col < b.col;
@@ -222,7 +217,6 @@ void CongestionMap::on_message(Coord from, Coord to, index_t distance) {
   assert(distance == manhattan(from, to));
   (void)distance;
   ++messages_;
-  ++ticks_;
   for (const Run& run : route(from, to)) add(run);
 }
 
@@ -230,24 +224,11 @@ void CongestionMap::on_send_bulk(std::span<const MessageEvent> batch) {
   for (const MessageEvent& e : batch) {
     if (e.distance == 0) continue;
     ++messages_;
-    ++ticks_;
     for (const Run& run : route(e.from, e.to)) add(run);
   }
 }
 
-void CongestionMap::record_sample() {
-  // Counter tracks render step changes; consecutive identical samples
-  // add nothing, so phase-transition storms with no traffic stay cheap.
-  if (!samples_.empty() &&
-      samples_.back().max_link_load == max_link_load_ &&
-      samples_.back().congested_clock == congested_clock_) {
-    return;
-  }
-  samples_.push_back(CounterSample{ticks_, max_link_load_, congested_clock_});
-}
-
 void CongestionMap::on_phase_enter(PhaseId id) {
-  record_sample();
   stack_.push_back(id);
   cached_bucket_ = nullptr;
 }
@@ -255,7 +236,6 @@ void CongestionMap::on_phase_enter(PhaseId id) {
 void CongestionMap::on_phase_exit(PhaseId id) {
   (void)id;
   if (stack_.empty()) return;  // imbalance is the checker's to report
-  record_sample();
   stack_.pop_back();
   cached_bucket_ = nullptr;
 }
@@ -268,11 +248,9 @@ void CongestionMap::clear() {
   messages_ = 0;
   max_link_load_ = 0;
   congested_clock_ = 0;
-  ticks_ = 0;
   phases_.clear();
   phase_order_.clear();
   cached_bucket_ = nullptr;
-  samples_.clear();
   // stack_ deliberately survives: open PhaseScopes keep attributing
   // across Machine::reset, exactly like the Profiler.
 }
@@ -390,26 +368,6 @@ std::string CongestionMap::heatmap(index_t max_side) const {
   load_.for_each(
       [&](Link link, index_t count) { leaving.push_back({link.from, count}); });
   return ramp_heatmap("link", ", max outgoing-link load", leaving, max_side);
-}
-
-std::string CongestionMap::chrome_counter_json() const {
-  // One "C" (counter) event per recorded sample over the same virtual
-  // tick axis the Profiler's phase trace uses (1 us = 1 charged event),
-  // plus a closing sample so the track always reaches the final tick.
-  std::ostringstream os;
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
-  os << "{\"ph\":\"M\",\"pid\":0,\"tid\":0,\"name\":\"process_name\","
-        "\"args\":{\"name\":\"scm simulated run\"}}";
-  const auto emit = [&os](const CounterSample& s) {
-    os << ",\n{\"ph\":\"C\",\"pid\":0,\"tid\":0,\"ts\":" << s.tick
-       << ",\"name\":\"link congestion\",\"args\":{\"max_link_load\":"
-       << s.max_link_load << ",\"congested_clock\":" << s.congested_clock
-       << "}}";
-  };
-  for (const CounterSample& s : samples_) emit(s);
-  emit(CounterSample{ticks_, max_link_load_, congested_clock_});
-  os << "\n]}\n";
-  return os.str();
 }
 
 // ---------------------------------------------------------------------------

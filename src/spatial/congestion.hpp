@@ -48,13 +48,13 @@
 // c, so it keeps a CongestionMap plus a per-cell count of sent messages
 // and derives every per-cell query from the two.
 //
-// Exporters: ASCII link and load heatmaps and a summary report, a Chrome
-// trace_event counter track (standalone here; merged into the phase trace
-// when embedded in the Profiler), and the "load" and "congestion"
-// sections of the versioned JSON run report (schema v3,
-// docs/OBSERVABILITY.md). Wire-up for benches/examples is
-// util::ProfileSession's --congestion / --congestion-heatmap /
-// --load-heatmap flags.
+// Exporters: ASCII link and load heatmaps and a summary report here. The
+// Profiler (spatial/profile.hpp) embeds these sinks and renders the rest:
+// the "load" and "congestion" sections of the versioned JSON run report
+// (schema v3, docs/OBSERVABILITY.md) and the "link congestion" counter
+// track on its Chrome phase trace, sampled at every phase transition.
+// Wire-up for benches/examples is util::ProfileSession's --congestion /
+// --congestion-heatmap / --load-heatmap flags.
 #pragma once
 
 #include "spatial/geometry.hpp"
@@ -109,16 +109,6 @@ class CongestionMap final : public TraceSink {
   /// Not copyable: the sink caches a pointer into its own bucket map.
   CongestionMap(const CongestionMap&) = delete;
   CongestionMap& operator=(const CongestionMap&) = delete;
-
-  /// One sample of the Chrome counter track, recorded at every phase
-  /// transition (and once at export): the running global peak link load
-  /// and congested clock at that virtual tick (ticks count charged
-  /// messages observed by this sink).
-  struct CounterSample {
-    std::uint64_t tick{0};
-    index_t max_link_load{0};
-    index_t congested_clock{0};
-  };
 
   /// Occupancy summary of one phase bucket (innermost-phase attribution;
   /// kNoPhase collects traffic charged outside any PhaseScope).
@@ -196,11 +186,6 @@ class CongestionMap final : public TraceSink {
   /// each counted at least at its bucket share).
   [[nodiscard]] index_t congested_clock() const { return congested_clock_; }
 
-  /// Counter-track samples recorded so far (one per phase transition).
-  [[nodiscard]] const std::vector<CounterSample>& samples() const {
-    return samples_;
-  }
-
   /// Human-readable summary: totals, percentiles, hotspot links, and the
   /// per-phase peak table behind congested_clock().
   [[nodiscard]] std::string ascii_report(std::size_t hotspots = 5) const;
@@ -210,13 +195,6 @@ class CongestionMap final : public TraceSink {
   /// *leaving* it, downsampled to at most `max_side` characters per side
   /// (values below 1 count as 1) with the level ramp " .:-=+*#%@".
   [[nodiscard]] std::string heatmap(index_t max_side = 32) const;
-
-  /// Standalone Chrome trace_event JSON: one "C" (counter) event per
-  /// recorded sample plus a closing sample at the final tick, counter
-  /// name "link congestion" with max_link_load / congested_clock series.
-  /// Loads in Perfetto; when the sink is embedded in a Profiler the same
-  /// samples ride the profiler's phase trace instead (shared tick axis).
-  [[nodiscard]] std::string chrome_counter_json() const;
 
   /// Drops all recorded data; the mirrored phase stack survives (open
   /// scopes keep attributing, as across Machine::reset).
@@ -335,7 +313,6 @@ class CongestionMap final : public TraceSink {
   /// current bucket. Counts no message: a run may be one piece of a
   /// message (the sharded map splits runs at tile bands).
   void add(const Run& run);
-  void record_sample();
 
   /// The unit link leaving `from` in direction `dir`.
   static Link link_of(Coord from, Dir dir);
@@ -345,7 +322,6 @@ class CongestionMap final : public TraceSink {
   index_t messages_{0};
   index_t max_link_load_{0};
   index_t congested_clock_{0};
-  std::uint64_t ticks_{0};
 
   std::unordered_map<PhaseId, Bucket> phases_;
   std::vector<PhaseId> phase_order_;  ///< first-touch order of buckets
@@ -353,7 +329,6 @@ class CongestionMap final : public TraceSink {
 
   /// Mirror of the machine's phase stack (survives clear()/on_reset).
   std::vector<PhaseId> stack_;
-  std::vector<CounterSample> samples_;
 };
 
 /// Accumulates per-processor traffic under the dimension-ordered routing

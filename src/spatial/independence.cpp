@@ -1,12 +1,9 @@
 #include "spatial/independence.hpp"
 
 #include "spatial/phase.hpp"
-#include "spatial/validate.hpp"
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <utility>
 
@@ -20,53 +17,14 @@ namespace {
 int g_unordered_depth = 0;
 const char* g_unordered_reason = nullptr;
 
-std::ostream& operator<<(std::ostream& os, const MessageEvent& e) {
-  return os << e.from << " -> " << e.to << " d=" << e.distance << " clock=("
-            << e.payload.depth << "," << e.payload.distance << ")->("
-            << e.arrival.depth << "," << e.arrival.distance << ")";
-}
-
-void format_violation(std::ostream& os, const IndependenceViolation& v) {
-  os << to_string(v.kind) << " in phase \"" << v.phase << "\" at " << v.at
-     << ": " << v.detail << "\n";
-  if (!v.backtrace.empty()) {
-    os << "  message backtrace (oldest first):\n";
-    for (const MessageEvent& e : v.backtrace) os << "    " << e << "\n";
-  }
-}
-
 }  // namespace
 
-const char* to_string(IndependenceViolationKind kind) {
-  switch (kind) {
-    case IndependenceViolationKind::kWriteWriteConflict:
-      return "write-write-conflict";
-    case IndependenceViolationKind::kReadWriteHazard:
-      return "read-write-hazard";
-    case IndependenceViolationKind::kGatherScatterAliasing:
-      return "gather-scatter-aliasing";
-  }
-  return "unknown-violation";
-}
-
-index_t IndependenceReport::count(IndependenceViolationKind kind) const {
-  index_t n = 0;
-  for (const IndependenceViolation& v : violations) {
-    if (v.kind == kind) ++n;
-  }
-  return n;
-}
-
 std::string IndependenceReport::str() const {
+  if (!ok()) return violations_str("independence");
   std::ostringstream os;
-  if (ok()) {
-    os << "independence: ok (" << batches << " batches, " << bulk_messages
-       << " bulk messages, " << exempted_batches << " exempted, max fan-in "
-       << max_fan_in << ")\n";
-    return os.str();
-  }
-  os << "independence: " << violations.size() << " violation(s)\n";
-  for (const IndependenceViolation& v : violations) format_violation(os, v);
+  os << "independence: ok (" << batches << " batches, " << bulk_messages
+     << " bulk messages, " << exempted_batches << " exempted, max fan-in "
+     << max_fan_in << ")\n";
   return os.str();
 }
 
@@ -85,48 +43,15 @@ bool ScopedUnorderedDelivery::active() { return g_unordered_depth > 0; }
 
 const char* ScopedUnorderedDelivery::reason() { return g_unordered_reason; }
 
-bool IndependenceChecker::strict_model_default() {
-  return ConformanceChecker::strict_model_default();
-}
+IndependenceChecker::IndependenceChecker(Config config)
+    : log_(config.strict, config.backtrace_capacity) {}
 
-IndependenceChecker::IndependenceChecker(Config config) : config_(config) {
-  ring_.reserve(config_.backtrace_capacity);
-}
-
-std::string IndependenceChecker::current_phase() const {
-  return phase_stack_.empty()
-             ? std::string("<top>")
-             : PhaseRegistry::instance().name(phase_stack_.back());
-}
-
-void IndependenceChecker::record(IndependenceViolationKind kind, Coord at,
+void IndependenceChecker::record(ViolationKind kind, Coord at,
                                  std::string detail) {
-  IndependenceViolation v{kind, current_phase(), at, std::move(detail), {}};
-  // Unroll the ring buffer oldest-first.
-  v.backtrace.reserve(ring_.size());
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    v.backtrace.push_back(ring_[(ring_next_ + i) % ring_.size()]);
-  }
-  if (config_.strict) {
-    std::ostringstream os;
-    os << "SCM_STRICT_MODEL: batch-independence violation\n";
-    format_violation(os, v);
-    std::fputs(os.str().c_str(), stderr);
-    std::fflush(stderr);
-    std::abort();
-  }
+  Violation v = log_.make(kind, at, std::move(detail),
+                          "batch-independence violation");
   ++report_.per_phase[v.phase].conflicts;
   report_.violations.push_back(std::move(v));
-}
-
-void IndependenceChecker::ring_push(const MessageEvent& e) {
-  if (config_.backtrace_capacity == 0) return;
-  if (ring_.size() < config_.backtrace_capacity) {
-    ring_.push_back(e);
-  } else {
-    ring_[ring_next_] = e;
-  }
-  if (++ring_next_ == config_.backtrace_capacity) ring_next_ = 0;
 }
 
 void IndependenceChecker::new_epoch() { dead_.clear(); }
@@ -144,7 +69,7 @@ void IndependenceChecker::on_send(const MessageEvent& e) {
   // A scalar arrival revives its destination and joins the backtrace, so
   // batch violations show the surrounding scalar traffic too.
   dead_.erase(e.to);
-  ring_push(e);
+  log_.push(e);
 }
 
 void IndependenceChecker::on_send_bulk(
@@ -173,7 +98,7 @@ void IndependenceChecker::on_send_bulk(
   for (const MessageEvent& e : batch) {
     if (e.distance == 0) continue;  // free in the model, never delivered
     ++charged;
-    ring_push(e);
+    log_.push(e);
     for (const bool is_to : {true, false}) {
       const Coord c = is_to ? e.to : e.from;
       // A multiplicative mix of the full coordinate; the top bits pick
@@ -199,7 +124,7 @@ void IndependenceChecker::on_send_bulk(
   if (charged == 0) return;
 
   const bool exempt = ScopedUnorderedDelivery::active();
-  PhaseFootprint& fp = report_.per_phase[current_phase()];
+  PhaseFootprint& fp = report_.per_phase[phase_label(log_.innermost())];
   ++fp.batches;
   fp.bulk_messages += charged;
   fp.max_batch = std::max(fp.max_batch, charged);
@@ -242,7 +167,7 @@ void IndependenceChecker::on_send_bulk(
             "order within a batch is unspecified. Declare the fan-in "
             "order-free with ScopedUnorderedDelivery / "
             "CommutativeDeliveryScope, or split the round";
-      record(IndependenceViolationKind::kWriteWriteConflict, c, os.str());
+      record(ViolationKind::kWriteWriteConflict, c, os.str());
     }
     if (d.in >= 1 && d.out >= 1) {
       if (dead_.contains(c)) {
@@ -252,7 +177,7 @@ void IndependenceChecker::on_send_bulk(
               "this epoch): the read can only observe the in-batch "
               "arrival, so the round depends on intra-batch order (in-"
            << d.in << "/out-" << d.out << ")";
-        record(IndependenceViolationKind::kReadWriteHazard, c, os.str());
+        record(ViolationKind::kReadWriteHazard, c, os.str());
       }
       if (d.in >= 2 || d.out >= 2) {
         std::ostringstream os;
@@ -260,7 +185,7 @@ void IndependenceChecker::on_send_bulk(
            << d.in << "/out-" << d.out
            << "): gather and scatter fused into one round. Split into "
               "dependent batches";
-        record(IndependenceViolationKind::kGatherScatterAliasing, c,
+        record(ViolationKind::kGatherScatterAliasing, c,
                os.str());
       }
     }
@@ -283,13 +208,13 @@ void IndependenceChecker::on_birth(Coord at, Clock c) {
 void IndependenceChecker::on_death(Coord at) { dead_.insert(at); }
 
 void IndependenceChecker::on_phase_enter(PhaseId id) {
-  phase_stack_.push_back(id);
+  log_.enter(id);
   new_epoch();
 }
 
 void IndependenceChecker::on_phase_exit(PhaseId id) {
   (void)id;  // phase balance is the conformance checker's to report
-  if (!phase_stack_.empty()) phase_stack_.pop_back();
+  log_.exit();
   new_epoch();
 }
 

@@ -54,18 +54,20 @@
 //
 // Violations carry the innermost phase name, the offending coordinate, and
 // a ring buffer of the most recent messages (including the offending
-// batch). Under strict mode — SCM_STRICT_MODEL as build option or
-// environment variable, exactly like the conformance checker — the first
-// violation prints its report to stderr and aborts; otherwise violations
-// accumulate into a queryable IndependenceReport with per-phase batch
-// footprints, which the Profiler exports into the versioned JSON run
-// report (docs/OBSERVABILITY.md) so CI can assert zero conflicts from
-// artifacts.
+// batch); they share the conformance checker's ViolationKind, Violation
+// and ViolationLog (spatial/validate.hpp). Under strict mode —
+// SCM_STRICT_MODEL as build option or environment variable, exactly like
+// the conformance checker — the first violation prints its report to
+// stderr and aborts; otherwise violations accumulate into a queryable
+// IndependenceReport with per-phase batch footprints, which the Profiler
+// exports into the versioned JSON run report (docs/OBSERVABILITY.md) so CI
+// can assert zero conflicts from artifacts.
 #pragma once
 
 #include "spatial/clock.hpp"
 #include "spatial/geometry.hpp"
 #include "spatial/trace.hpp"
+#include "spatial/validate.hpp"
 
 #include <cstddef>
 #include <cstdint>
@@ -75,25 +77,6 @@
 #include <vector>
 
 namespace scm {
-
-/// What an IndependenceChecker can catch.
-enum class IndependenceViolationKind {
-  kWriteWriteConflict,     // same-destination fan-in without an exemption
-  kReadWriteHazard,        // a member reads a cell only written in-batch
-  kGatherScatterAliasing,  // a cell relays concentrated traffic in-batch
-};
-
-/// Human-readable name of a violation kind ("write-write-conflict", ...).
-[[nodiscard]] const char* to_string(IndependenceViolationKind kind);
-
-/// One detected violation with its forensic context.
-struct IndependenceViolation {
-  IndependenceViolationKind kind{};
-  std::string phase;    // innermost phase at detection; "<top>" when none
-  Coord at{};           // the conflicted cell
-  std::string detail;   // specifics: degrees, occupancy, batch size
-  std::vector<MessageEvent> backtrace;  // recent messages, oldest first
-};
 
 /// Per-phase batch footprint summary (keyed by innermost phase name).
 struct PhaseFootprint {
@@ -105,19 +88,14 @@ struct PhaseFootprint {
   index_t conflicts{0};         // violations recorded in this phase
 };
 
-/// Queryable result of a checked execution.
-struct IndependenceReport {
-  std::vector<IndependenceViolation> violations;
+/// Queryable result of a checked execution. Its violations are of the
+/// last three ViolationKinds (spatial/validate.hpp).
+struct IndependenceReport : ViolationList {
   index_t batches{0};
   index_t bulk_messages{0};
   index_t exempted_batches{0};
   index_t max_fan_in{0};
   std::map<std::string, PhaseFootprint> per_phase;
-
-  [[nodiscard]] bool ok() const { return violations.empty(); }
-
-  /// Number of violations of the given kind.
-  [[nodiscard]] index_t count(IndependenceViolationKind kind) const;
 
   /// Multi-line human-readable report (one block per violation).
   [[nodiscard]] std::string str() const;
@@ -154,9 +132,9 @@ class IndependenceChecker final : public TraceSink {
  public:
   struct Config {
     /// Abort on the first violation instead of accumulating. Defaults to
-    /// strict_model_default() (the SCM_STRICT_MODEL build option or
-    /// environment variable, shared with the conformance checker).
-    bool strict{strict_model_default()};
+    /// ConformanceChecker::strict_model_default() (the SCM_STRICT_MODEL
+    /// build option or environment variable, shared by both checkers).
+    bool strict{ConformanceChecker::strict_model_default()};
 
     /// Messages retained for each violation's backtrace.
     std::size_t backtrace_capacity{16};
@@ -177,11 +155,6 @@ class IndependenceChecker final : public TraceSink {
 
   [[nodiscard]] const IndependenceReport& report() const { return report_; }
 
-  /// Mirrors ConformanceChecker::strict_model_default(): true when
-  /// SCM_STRICT_MODEL was defined at build time or is set (to anything but
-  /// "" or "0") in the environment.
-  [[nodiscard]] static bool strict_model_default();
-
  private:
   /// One cell's in/out degree within the batch under analysis. A slot
   /// with in == out == 0 is empty: a claimed slot counts at least one
@@ -192,20 +165,15 @@ class IndependenceChecker final : public TraceSink {
     std::uint32_t out{0};
   };
 
-  void record(IndependenceViolationKind kind, Coord at, std::string detail);
-  void ring_push(const MessageEvent& e);
+  void record(ViolationKind kind, Coord at, std::string detail);
   void new_epoch();
-  [[nodiscard]] std::string current_phase() const;
 
-  Config config_;
   IndependenceReport report_;
-  std::vector<PhaseId> phase_stack_;
+  ViolationLog log_;
   // Cells retired (Machine::death) in the current epoch and not revived by
   // a later arrival or birth: the occupancy knowledge behind the sound
   // read-write-hazard rule.
   std::unordered_set<Coord, CoordHash> dead_;
-  std::vector<MessageEvent> ring_;
-  std::size_t ring_next_{0};
   // Per-batch degree table: open addressing with linear probing, keyed by
   // the full Coord (no two cells alias, whatever their range). Its size is
   // a power of two at least 4x the largest batch seen so far, so with at

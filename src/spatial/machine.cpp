@@ -31,8 +31,7 @@ Clock Machine::send(Coord from, Coord to, Clock payload) {
   const index_t dist = manhattan(from, to);
   if (dist == 0) return payload;
   const Clock arrival = payload.after_hop(dist);
-  charge(dist, 1);
-  join_clock(arrival);
+  apply_send_aggregate(dist, 1, arrival);
   emit([&](TraceSink& s) {
     s.on_message(from, to, dist);
     s.on_send(MessageEvent{from, to, dist, payload, arrival});
@@ -86,8 +85,8 @@ void Machine::send_bulk(std::span<MessageEvent> batch) {
 
 void Machine::apply_send_aggregate(index_t energy, index_t messages,
                                    Clock max) {
-  // One flush into the totals and each active phase. Identical to the
-  // scalar path's per-message charge/observe because sums commute and
+  // One flush into the totals and each active phase. A batch's flush
+  // equals its messages' one-by-one flushes because sums commute and
   // Clock::join is an associative/commutative max; the whole batch is
   // attributed to the phase set active at this call (phases cannot change
   // mid-batch by contract).
@@ -161,7 +160,6 @@ void Machine::death_bulk(std::span<const Coord> batch) {
 
 void Machine::reset() {
   totals_ = Metrics{};
-  ++phases_version_;  // per-phase records mutate: invalidate phases() cache
   for (const PhaseId id : touched_) {
     phase_totals_[id] = Metrics{};
     touched_flag_[id] = 0;
@@ -173,15 +171,13 @@ void Machine::reset() {
   emit([](TraceSink& s) { s.on_reset(); });
 }
 
-const std::map<std::string, Metrics>& Machine::phases() const {
-  if (phases_cache_version_ == phases_version_) return phases_cache_;
+std::map<std::string, Metrics> Machine::phases() const {
   const PhaseRegistry& registry = PhaseRegistry::instance();
-  phases_cache_.clear();
+  std::map<std::string, Metrics> out;
   for (const PhaseId id : touched_) {
-    phases_cache_.emplace(registry.name(id), phase_totals_[id]);
+    out.emplace(registry.name(id), phase_totals_[id]);
   }
-  phases_cache_version_ = phases_version_;
-  return phases_cache_;
+  return out;
 }
 
 const Metrics& Machine::phase(std::string_view name) const {
@@ -201,17 +197,6 @@ const Metrics& Machine::phase(PhaseId id) const {
     return kEmpty;
   }
   return phase_totals_[id];
-}
-
-void Machine::charge(index_t energy, index_t messages) {
-  assert(energy >= 0 && messages >= 0);
-  totals_.energy += energy;
-  totals_.messages += messages;
-  for (const PhaseId id : active_) {
-    Metrics& pm = slot(id);
-    pm.energy += energy;
-    pm.messages += messages;
-  }
 }
 
 void Machine::begin_phase(std::string_view name) {

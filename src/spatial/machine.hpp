@@ -27,7 +27,6 @@
 #include "spatial/phase.hpp"
 #include "spatial/trace.hpp"
 
-#include <cstdint>
 #include <deque>
 #include <map>
 #include <span>
@@ -116,20 +115,14 @@ class Machine {
   /// Clears all counters and per-phase records.
   void reset();
 
-  /// Per-phase cost records, keyed by phase name — a snapshot materialized
-  /// from the id-indexed engine (names sorted, as the historical map API
-  /// guaranteed). Nested phases accumulate into every active scope, so
-  /// "sort" includes its "sort/merge" children; a phase appears once it
-  /// has at least one attributed event. The materialization is cached and
-  /// invalidated whenever any per-phase record mutates (charging under an
-  /// active phase, or reset), so report paths that query it repeatedly —
-  /// cost_report, the run-report exporter, the A/B harness — pay the
-  /// string-keyed map build once per change, not once per call. Registry
-  /// growth alone cannot change the output (names are immutable per id and
-  /// a phase appears only once touched), so it does not invalidate. The
-  /// reference stays valid until the Machine is destroyed; its *contents*
-  /// refresh on the next phases() call after a mutation.
-  [[nodiscard]] const std::map<std::string, Metrics>& phases() const;
+  /// Per-phase cost records, keyed by phase name: a snapshot built from
+  /// the id-indexed engine on every call (names sorted, as the historical
+  /// map API guaranteed). Nested phases accumulate into every active
+  /// scope, so "sort" includes its "sort/merge" children; a phase appears
+  /// once it has at least one attributed event. Each call copies every
+  /// record into a fresh string-keyed map, so it is for report-time
+  /// snapshots; hot query paths use touched_phases() with phase(PhaseId).
+  [[nodiscard]] std::map<std::string, Metrics> phases() const;
 
   /// Costs recorded under a phase name; a zero Metrics if never entered.
   /// The reference is stable across further charging and phase
@@ -143,11 +136,10 @@ class Machine {
   [[nodiscard]] const Metrics& phase(PhaseId id) const;
 
   /// The ids of every phase with at least one attributed event since the
-  /// last reset, in first-touch order. With phase(PhaseId) this iterates
-  /// per-phase records without materializing the phases() map — use it
-  /// (or phase(name)) on hot query paths; phases() copies every record
-  /// into a freshly built string-keyed map on each call and exists for
-  /// report-time snapshots.
+  /// last reset, in first-touch order: the phases phases() would list.
+  /// With phase(PhaseId) this iterates the per-phase records without
+  /// building a map or touching a name. The span is invalidated by the
+  /// next event that touches a phase for the first time, and by reset().
   [[nodiscard]] std::span<const PhaseId> touched_phases() const {
     return touched_;
   }
@@ -192,26 +184,23 @@ class Machine {
   };
 
  private:
-  void charge(index_t energy, index_t messages);
-
   /// observe() without the event: joins `c` into the totals' and every
-  /// active phase's max clock, and says whether any record changed. send,
-  /// birth and birth_bulk raise clocks through it, since replaying their
-  /// own events raises the same clocks.
+  /// active phase's max clock, and says whether any record changed. birth
+  /// and birth_bulk raise clocks through it, since replaying their own
+  /// events raises the same clocks.
   bool join_clock(Clock c);
 
-  /// One merged flush of a send batch into the totals and every active
-  /// phase — the single code path shared by the serial bulk loop and the
-  /// parallel engine's merged aggregate, so both are bit-identical by
-  /// construction.
+  /// One merged flush of sends into the totals and every active phase:
+  /// energy, message count and the join of the arrival clocks. The one
+  /// charging path, shared by send (one message), the serial bulk loop and
+  /// the parallel engine's merged aggregate, so all three are
+  /// bit-identical by construction.
   void apply_send_aggregate(index_t energy, index_t messages, Clock max);
 
   /// The per-phase record for `id`, marking it as touched (= it will
   /// appear in phases()). Precondition: `id` is on the phase stack, so the
-  /// per-id tables were sized by begin_phase. Callers mutate the returned
-  /// record, so this is the phases()-cache invalidation point.
+  /// per-id tables were sized by begin_phase.
   Metrics& slot(PhaseId id) {
-    ++phases_version_;
     if (touched_flag_[id] == 0) {
       touched_flag_[id] = 1;
       touched_.push_back(id);
@@ -234,7 +223,7 @@ class Machine {
   // phase ids currently on the stack, ordered by the stack position of
   // each id's first (outermost) occurrence; `stack_count_[id]` counts the
   // occurrences of `id` on the stack. begin/end_phase maintain both in
-  // O(1), so the per-event loops in charge/op/observe touch each distinct
+  // O(1), so the per-event loops in send/op/observe touch each distinct
   // active phase exactly once with no dedup scan. All id-indexed tables
   // are sized to the PhaseRegistry on demand at phase entry; per-phase
   // Metrics live in a deque so references handed out by phase() stay
@@ -245,12 +234,6 @@ class Machine {
   std::deque<Metrics> phase_totals_;
   std::vector<char> touched_flag_;
   std::vector<PhaseId> touched_;
-
-  // phases() cache: rebuilt when phases_version_ (bumped on any per-phase
-  // record mutation — slot() and reset()) outruns the cached version.
-  std::uint64_t phases_version_{0};
-  mutable std::map<std::string, Metrics> phases_cache_;
-  mutable std::uint64_t phases_cache_version_{~std::uint64_t{0}};
 
   TraceSink* trace_{nullptr};
 

@@ -28,4 +28,9 @@ const std::string& PhaseRegistry::name(PhaseId id) const {
   return names_[id];
 }
 
+const std::string& phase_label(PhaseId id) {
+  static const std::string kTop = "<top>";
+  return id == kNoPhase ? kTop : PhaseRegistry::instance().name(id);
+}
+
 }  // namespace scm

@@ -7,7 +7,8 @@
 // dense PhaseId, and everything downstream of a phase transition — the
 // Machine's attribution engine, TraceSink phase events, the conformance
 // checker's epoch stack — operates on integer ids. Names are rematerialized
-// only at reporting boundaries (phases(), violation reports).
+// only at reporting boundaries (phases(), violation reports), through
+// phase_label().
 //
 // The registry is process-local and append-only: ids are dense indices in
 // interning order and are never recycled, so a PhaseId is valid for the
@@ -65,5 +66,9 @@ class PhaseRegistry {
       ids_;
   std::deque<std::string> names_;
 };
+
+/// Display name of `id` in every report, trace and violation: the
+/// interned name, or "<top>" for kNoPhase (traffic outside any phase).
+[[nodiscard]] const std::string& phase_label(PhaseId id);
 
 }  // namespace scm

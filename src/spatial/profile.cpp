@@ -38,11 +38,6 @@ std::string json_escape(std::string_view s) {
   return out;
 }
 
-std::string phase_name(PhaseId id) {
-  return id == kNoPhase ? std::string("<top>")
-                        : PhaseRegistry::instance().name(id);
-}
-
 void append_coord(std::ostringstream& os, Coord c) {
   os << '[' << c.row << ',' << c.col << ']';
 }
@@ -390,7 +385,7 @@ std::string Profiler::ascii_report() const {
     dfs.pop_back();
     const PhaseNode& node = nodes_[i];
     std::string label(static_cast<std::size_t>(node.depth) * 2, ' ');
-    label += phase_name(node.phase);
+    label += phase_label(node.phase);
     if (label.size() > 39) label.resize(39);
     std::string dist = "-";
     if (node.hist.count > 0) {
@@ -442,7 +437,7 @@ std::string Profiler::chrome_trace_json() const {
   for (const ScopeEvent& s : scopes_) {
     os << ",\n{\"ph\":\"" << (s.enter ? 'B' : 'E') << "\",\"pid\":0,"
        << "\"tid\":0,\"ts\":" << s.tick << ",\"name\":\""
-       << json_escape(phase_name(s.phase)) << "\",\"cat\":\"phase\","
+       << json_escape(phase_label(s.phase)) << "\",\"cat\":\"phase\","
        << "\"args\":{\"energy\":" << s.energy << "}}";
     counter(s.tick, s.max_link_load, s.congested_clock);
     open += s.enter ? 1 : -1;
@@ -451,7 +446,7 @@ std::string Profiler::chrome_trace_json() const {
   (void)open;
   for (std::size_t i = stack_.size(); i-- > 0;) {
     os << ",\n{\"ph\":\"E\",\"pid\":0,\"tid\":0,\"ts\":" << ticks_
-       << ",\"name\":\"" << json_escape(phase_name(stack_[i]))
+       << ",\"name\":\"" << json_escape(phase_label(stack_[i]))
        << "\",\"cat\":\"phase\",\"args\":{\"energy\":" << totals_.energy
        << "}}";
   }
@@ -523,7 +518,7 @@ std::string Profiler::json_report() const {
     const PhaseNode& node = nodes_[f.node];
     if (!opened[f.node]) {
       opened[f.node] = true;
-      os << "\n{\"name\":\"" << json_escape(phase_name(node.phase))
+      os << "\n{\"name\":\"" << json_escape(phase_label(node.phase))
          << "\",\"self\":";
       Metrics self;
       self.energy = node.self_energy;
@@ -617,7 +612,7 @@ std::string Profiler::json_report() const {
           pc.links == 0 ? 0.0
                         : static_cast<double>(pc.occupancy) /
                               static_cast<double>(pc.links);
-      os << "\n{\"name\":\"" << json_escape(phase_name(pc.phase))
+      os << "\n{\"name\":\"" << json_escape(phase_label(pc.phase))
          << "\",\"peak\":" << pc.peak << ",\"links\":" << pc.links
          << ",\"mean\":" << mean << ",\"occupancy\":" << pc.occupancy
          << '}';
@@ -632,11 +627,9 @@ std::string Profiler::json_report() const {
     const IndependenceReport& rep = independence_->report();
     os << ",\"ok\":" << (rep.ok() ? "true" : "false") << ",\"conflicts\":{"
        << "\"total\":" << rep.violations.size() << ",\"write_write\":"
-       << rep.count(IndependenceViolationKind::kWriteWriteConflict)
-       << ",\"read_write\":"
-       << rep.count(IndependenceViolationKind::kReadWriteHazard)
-       << ",\"aliasing\":"
-       << rep.count(IndependenceViolationKind::kGatherScatterAliasing)
+       << rep.count(ViolationKind::kWriteWriteConflict) << ",\"read_write\":"
+       << rep.count(ViolationKind::kReadWriteHazard) << ",\"aliasing\":"
+       << rep.count(ViolationKind::kGatherScatterAliasing)
        << "},\"batches\":" << rep.batches
        << ",\"bulk_messages\":" << rep.bulk_messages
        << ",\"exempted_batches\":" << rep.exempted_batches

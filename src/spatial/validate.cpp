@@ -30,6 +30,12 @@ const char* to_string(ViolationKind kind) {
       return "message-count-mismatch";
     case ViolationKind::kClockMismatch:
       return "clock-mismatch";
+    case ViolationKind::kWriteWriteConflict:
+      return "write-write-conflict";
+    case ViolationKind::kReadWriteHazard:
+      return "read-write-hazard";
+    case ViolationKind::kGatherScatterAliasing:
+      return "gather-scatter-aliasing";
   }
   return "unknown-violation";
 }
@@ -53,7 +59,7 @@ void format_violation(std::ostream& os, const Violation& v) {
 
 }  // namespace
 
-index_t ConformanceReport::count(ViolationKind kind) const {
+index_t ViolationList::count(ViolationKind kind) const {
   index_t n = 0;
   for (const Violation& v : violations) {
     if (v.kind == kind) ++n;
@@ -61,15 +67,43 @@ index_t ConformanceReport::count(ViolationKind kind) const {
   return n;
 }
 
-std::string ConformanceReport::str() const {
+std::string ViolationList::violations_str(const char* checker) const {
   std::ostringstream os;
-  if (ok()) {
-    os << "conformance: ok (" << messages << " messages, energy " << energy
-       << ", peak residency " << peak_residency << ")\n";
-    return os.str();
-  }
-  os << "conformance: " << violations.size() << " violation(s)\n";
+  os << checker << ": " << violations.size() << " violation(s)\n";
   for (const Violation& v : violations) format_violation(os, v);
+  return os.str();
+}
+
+ViolationLog::ViolationLog(bool strict, std::size_t backtrace_capacity)
+    : strict_(strict), capacity_(backtrace_capacity) {
+  ring_.reserve(capacity_);
+}
+
+Violation ViolationLog::make(ViolationKind kind, Coord at, std::string detail,
+                             const char* banner) const {
+  Violation v{kind, phase_label(innermost()), at, std::move(detail), {}};
+  // Unroll the ring oldest first: from the next slot to the end, then the
+  // slots before it. (Until the ring fills, the next slot is its end.)
+  const auto split = ring_.begin() + static_cast<std::ptrdiff_t>(next_);
+  v.backtrace.reserve(ring_.size());
+  v.backtrace.insert(v.backtrace.end(), split, ring_.end());
+  v.backtrace.insert(v.backtrace.end(), ring_.begin(), split);
+  if (strict_) {
+    std::ostringstream os;
+    os << "SCM_STRICT_MODEL: " << banner << "\n";
+    format_violation(os, v);
+    std::fputs(os.str().c_str(), stderr);
+    std::fflush(stderr);
+    std::abort();
+  }
+  return v;
+}
+
+std::string ConformanceReport::str() const {
+  if (!ok()) return violations_str("conformance");
+  std::ostringstream os;
+  os << "conformance: ok (" << messages << " messages, energy " << energy
+     << ", peak residency " << peak_residency << ")\n";
   return os.str();
 }
 
@@ -84,33 +118,13 @@ bool ConformanceChecker::strict_model_default() {
 }
 
 ConformanceChecker::ConformanceChecker(Config config)
-    : config_(std::move(config)) {
-  ring_.reserve(config_.backtrace_capacity);
-}
-
-std::string ConformanceChecker::current_phase() const {
-  return phase_stack_.empty()
-             ? std::string("<top>")
-             : PhaseRegistry::instance().name(phase_stack_.back());
-}
+    : config_(std::move(config)),
+      log_(config_.strict, config_.backtrace_capacity) {}
 
 void ConformanceChecker::record(ViolationKind kind, Coord at,
                                 std::string detail) {
-  Violation v{kind, current_phase(), at, std::move(detail), {}};
-  // Unroll the ring buffer oldest-first.
-  v.backtrace.reserve(ring_.size());
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    v.backtrace.push_back(ring_[(ring_next_ + i) % ring_.size()]);
-  }
-  if (config_.strict) {
-    std::ostringstream os;
-    os << "SCM_STRICT_MODEL: model conformance violation\n";
-    format_violation(os, v);
-    std::fputs(os.str().c_str(), stderr);
-    std::fflush(stderr);
-    std::abort();
-  }
-  report_.violations.push_back(std::move(v));
+  report_.violations.push_back(log_.make(
+      kind, at, std::move(detail), "model conformance violation"));
 }
 
 void ConformanceChecker::new_epoch() {
@@ -164,30 +178,14 @@ void ConformanceChecker::on_send(const MessageEvent& e) {
            "send from a processor whose value was retired in this epoch");
   }
   // Residency: the arriving word now lives at the destination.
-  dead_.erase(e.to);
-  index_t& words = residency_[e.to];
-  ++words;
-  report_.peak_residency = std::max(report_.peak_residency, words);
-  if (words == config_.live_word_cap + 1) {
-    std::ostringstream os;
-    os << "processor accumulated " << words
-       << " live words in one epoch (cap " << config_.live_word_cap << ")";
-    record(ViolationKind::kMemoryCapExceeded, e.to, os.str());
-  }
+  arrive(e.to);
   // Accounting re-derivation.
   report_.energy += e.distance;
   report_.messages += 1;
   report_.max_arrival = Clock::join(report_.max_arrival, e.arrival);
-  // Backtrace ring.
-  if (config_.backtrace_capacity > 0) {
-    if (ring_.size() < config_.backtrace_capacity) {
-      ring_.push_back(e);
-      ring_next_ = ring_.size() % config_.backtrace_capacity;
-    } else {
-      ring_[ring_next_] = e;
-      ring_next_ = (ring_next_ + 1) % ring_.size();
-    }
-  }
+  // The backtrace gains the message after its checks, so a violation's
+  // backtrace ends at the message before the offending one.
+  log_.push(e);
 }
 
 void ConformanceChecker::on_birth(Coord at, Clock c) {
@@ -197,6 +195,10 @@ void ConformanceChecker::on_birth(Coord at, Clock c) {
        << ")";
     record(ViolationKind::kNonMonotoneClock, at, os.str());
   }
+  arrive(at);
+}
+
+void ConformanceChecker::arrive(Coord at) {
   dead_.erase(at);
   index_t& words = residency_[at];
   ++words;
@@ -216,25 +218,23 @@ void ConformanceChecker::on_death(Coord at) {
 }
 
 void ConformanceChecker::on_phase_enter(PhaseId id) {
-  phase_stack_.push_back(id);
+  log_.enter(id);
   new_epoch();
 }
 
 void ConformanceChecker::on_phase_exit(PhaseId id) {
-  if (phase_stack_.empty()) {
+  const PhaseId innermost = log_.innermost();
+  if (innermost == kNoPhase) {
     record(ViolationKind::kUnbalancedPhase, Coord{},
-           "phase \"" + PhaseRegistry::instance().name(id) +
-               "\" exited but never entered");
+           "phase \"" + phase_label(id) + "\" exited but never entered");
   } else {
     // Machines share one checker; exits must match the innermost entry.
-    if (phase_stack_.back() != id) {
+    if (innermost != id) {
       record(ViolationKind::kUnbalancedPhase, Coord{},
-             "phase \"" + PhaseRegistry::instance().name(id) +
-                 "\" exited while \"" +
-                 PhaseRegistry::instance().name(phase_stack_.back()) +
-                 "\" is innermost");
+             "phase \"" + phase_label(id) + "\" exited while \"" +
+                 phase_label(innermost) + "\" is innermost");
     }
-    phase_stack_.pop_back();
+    log_.exit();
   }
   new_epoch();
 }
@@ -242,11 +242,11 @@ void ConformanceChecker::on_phase_exit(PhaseId id) {
 void ConformanceChecker::on_reset() { new_epoch(); }
 
 void ConformanceChecker::finish() {
-  while (!phase_stack_.empty()) {
+  while (log_.innermost() != kNoPhase) {
     record(ViolationKind::kUnbalancedPhase, Coord{},
-           "phase \"" + PhaseRegistry::instance().name(phase_stack_.back()) +
+           "phase \"" + phase_label(log_.innermost()) +
                "\" entered but never exited");
-    phase_stack_.pop_back();
+    log_.exit();
   }
 }
 

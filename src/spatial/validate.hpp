@@ -39,10 +39,16 @@
 // SCM_STRICT_MODEL environment variable — the first violation prints its
 // report to stderr and aborts, pinpointing the offending send; otherwise
 // violations accumulate into a queryable ConformanceReport.
+//
+// The IndependenceChecker (spatial/independence.hpp) reports through the
+// same pieces: one ViolationKind, one Violation, one ViolationList behind
+// both reports, and one ViolationLog per checker that stamps the phase and
+// backtrace and owns the strict abort.
 #pragma once
 
 #include "spatial/clock.hpp"
 #include "spatial/geometry.hpp"
+#include "spatial/phase.hpp"
 #include "spatial/trace.hpp"
 
 #include <cstddef>
@@ -56,17 +62,21 @@ namespace scm {
 
 class Machine;
 
-/// What a ConformanceChecker can catch.
+/// What the two model checkers can catch: the ConformanceChecker's nine
+/// kinds, then the IndependenceChecker's three (spatial/independence.hpp).
 enum class ViolationKind {
-  kMemoryCapExceeded,     // a cell holds more than the O(1) live-word cap
-  kNonMonotoneClock,      // arrival clock != payload.after_hop(distance)
-  kCorruptDistance,       // distance < 1 or != manhattan(from, to)
-  kSendFromDeadCell,      // send from a cell whose value was retired
-  kIllegalCoordinate,     // endpoint outside the declared arena
-  kUnbalancedPhase,       // phase entered but never exited
-  kEnergyMismatch,        // re-derived energy != Metrics::energy
-  kMessageCountMismatch,  // re-derived count != Metrics::messages
-  kClockMismatch,         // Metrics::max_clock below an observed arrival
+  kMemoryCapExceeded,      // a cell holds more than the O(1) live-word cap
+  kNonMonotoneClock,       // arrival clock != payload.after_hop(distance)
+  kCorruptDistance,        // distance < 1 or != manhattan(from, to)
+  kSendFromDeadCell,       // send from a cell whose value was retired
+  kIllegalCoordinate,      // endpoint outside the declared arena
+  kUnbalancedPhase,        // phase entered but never exited
+  kEnergyMismatch,         // re-derived energy != Metrics::energy
+  kMessageCountMismatch,   // re-derived count != Metrics::messages
+  kClockMismatch,          // Metrics::max_clock below an observed arrival
+  kWriteWriteConflict,     // same-destination fan-in without an exemption
+  kReadWriteHazard,        // a member reads a cell only written in-batch
+  kGatherScatterAliasing,  // a cell relays concentrated traffic in-batch
 };
 
 /// Human-readable name of a violation kind ("memory-cap-exceeded", ...).
@@ -81,18 +91,72 @@ struct Violation {
   std::vector<MessageEvent> backtrace;  // recent messages, oldest first
 };
 
-/// Queryable result of a checked execution.
-struct ConformanceReport {
+/// The violations a checker recorded; both checkers' reports extend it.
+struct ViolationList {
   std::vector<Violation> violations;
-  index_t energy{0};         // re-derived from the message stream
-  index_t messages{0};       // re-derived from the message stream
-  Clock max_arrival{};       // join over all arrival clocks
-  index_t peak_residency{0}; // largest per-cell epoch residency observed
 
   [[nodiscard]] bool ok() const { return violations.empty(); }
 
   /// Number of violations of the given kind.
   [[nodiscard]] index_t count(ViolationKind kind) const;
+
+  /// "<checker>: N violation(s)" and one block per violation: the report
+  /// text of a run that is not ok.
+  [[nodiscard]] std::string violations_str(const char* checker) const;
+};
+
+/// The forensic context both checkers attach to a violation, and their
+/// one strict-abort path. It mirrors the Machine's phase stack as interned
+/// ids (a transition costs an integer push or pop; names are looked up
+/// only when a violation is made) and keeps a ring of the most recent
+/// messages.
+class ViolationLog {
+ public:
+  ViolationLog(bool strict, std::size_t backtrace_capacity);
+
+  void enter(PhaseId id) { stack_.push_back(id); }
+  /// Pops the innermost phase; no-op when none is open.
+  void exit() {
+    if (!stack_.empty()) stack_.pop_back();
+  }
+  /// The innermost open phase; kNoPhase when none.
+  [[nodiscard]] PhaseId innermost() const {
+    return stack_.empty() ? kNoPhase : stack_.back();
+  }
+
+  /// Appends `e` to the backtrace ring, overwriting the oldest message
+  /// once the ring is full. Inline: the IndependenceChecker pushes once
+  /// per batch entry.
+  void push(const MessageEvent& e) {
+    if (capacity_ == 0) return;
+    if (ring_.size() < capacity_) {
+      ring_.push_back(e);
+    } else {
+      ring_[next_] = e;
+    }
+    if (++next_ == capacity_) next_ = 0;
+  }
+
+  /// The violation of `kind` at `at`, stamped with the innermost phase and
+  /// the ring's messages oldest first. Under strict mode it instead prints
+  /// "SCM_STRICT_MODEL: <banner>" and the violation to stderr and aborts.
+  [[nodiscard]] Violation make(ViolationKind kind, Coord at,
+                               std::string detail, const char* banner) const;
+
+ private:
+  bool strict_;
+  std::size_t capacity_;
+  std::vector<PhaseId> stack_;
+  std::vector<MessageEvent> ring_;
+  std::size_t next_{0};  ///< slot of the next push (the oldest when full)
+};
+
+/// Queryable result of a checked execution.
+struct ConformanceReport : ViolationList {
+  index_t energy{0};         // re-derived from the message stream
+  index_t messages{0};       // re-derived from the message stream
+  Clock max_arrival{};       // join over all arrival clocks
+  index_t peak_residency{0}; // largest per-cell epoch residency observed
 
   /// Multi-line human-readable report (one block per violation).
   [[nodiscard]] std::string str() const;
@@ -154,19 +218,16 @@ class ConformanceChecker final : public TraceSink {
 
  private:
   void record(ViolationKind kind, Coord at, std::string detail);
+  /// A word arrives at `at` (a send's destination or a birth): the cell is
+  /// revived, counts one more live word, and is checked against the cap.
+  void arrive(Coord at);
   void new_epoch();
-  [[nodiscard]] std::string current_phase() const;
 
   Config config_;
   ConformanceReport report_;
-  // Interned ids, mirroring the Machine's stack: phase transitions cost
-  // two integer ops here, and names are looked up only when a violation
-  // is actually recorded.
-  std::vector<PhaseId> phase_stack_;
+  ViolationLog log_;
   std::unordered_map<Coord, index_t, CoordHash> residency_;
   std::unordered_set<Coord, CoordHash> dead_;
-  std::vector<MessageEvent> ring_;
-  std::size_t ring_next_{0};
 };
 
 /// RAII detachment of the process-global trace sink. Tests that

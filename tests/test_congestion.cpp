@@ -9,16 +9,16 @@
 //     links), and the LoadMap's per-cell view matches a hop-by-hop
 //     reference walk query for query;
 //   * a seeded stream whose runs cross zero and page boundaries, with
-//     nested and re-entered phases: every link query, phase bucket and
-//     counter sample against a hop-by-hop per-link reference walk;
+//     nested and re-entered phases: every link query and phase bucket
+//     against a hop-by-hop per-link reference walk;
 //   * zero-length sends, self-sends, and empty batches produce no
 //     occupancy — matching the model's "free and unreported" contract;
 //   * the batched on_send_bulk path yields byte-identical per-link
 //     occupancy to a scalar replay of the same events;
 //   * translation invariance at unit level (the fuzzer asserts it on
 //     random programs; here it is pinned on a real collective);
-//   * exporters: ascii report / heatmap smoke, Chrome counter track
-//     parses, and the Profiler's schema-v3 JSON run report carries the
+//   * exporters: ascii report / heatmap smoke, the Profiler's Chrome
+//     counter track parses, and its schema-v3 JSON run report carries the
 //     "congestion" section with its CI-checked invariants, under every
 //     combination of the load-map and congestion options.
 #include "spatial/congestion.hpp"
@@ -445,18 +445,10 @@ class ReferenceLinkWalk final : public TraceSink {
     }
   }
 
-  // A sample is taken before each transition and dropped when it repeats
-  // the last one's peak and clock, as CongestionMap::record_sample
-  // documents.
-  void on_phase_enter(PhaseId id) override {
-    record_sample();
-    stack.push_back(id);
-  }
+  void on_phase_enter(PhaseId id) override { stack.push_back(id); }
   void on_phase_exit(PhaseId id) override {
     (void)id;
-    if (stack.empty()) return;
-    record_sample();
-    stack.pop_back();
+    if (!stack.empty()) stack.pop_back();
   }
 
   static index_t peak_of(const std::map<Link, index_t>& links) {
@@ -501,20 +493,8 @@ class ReferenceLinkWalk final : public TraceSink {
   std::map<PhaseId, Bucket> buckets;
   std::vector<PhaseId> order;  ///< first-touch order of buckets
   std::vector<PhaseId> stack;
-  std::vector<CongestionMap::CounterSample> samples;
   std::uint64_t ticks{0};
   index_t longest_run{0};  ///< longest straight run of one message
-
- private:
-  void record_sample() {
-    const CongestionMap::CounterSample s{ticks, peak_of(links),
-                                         congested_clock()};
-    if (!samples.empty() && samples.back().max_link_load == s.max_link_load &&
-        samples.back().congested_clock == s.congested_clock) {
-      return;
-    }
-    samples.push_back(s);
-  }
 };
 
 /// A seeded stream of scalar and bulk traffic between endpoints in
@@ -631,16 +611,6 @@ TEST(CongestionReference, SeededStreamMatchesHopByHopLinkWalk) {
     EXPECT_EQ(cm.phase_peak(ref.order[i]), phases[i].peak) << i;
   }
   EXPECT_EQ(cm.congested_clock(), ref.congested_clock());
-
-  ASSERT_EQ(cm.samples().size(), ref.samples.size());
-  for (std::size_t i = 0; i < ref.samples.size(); ++i) {
-    EXPECT_EQ(cm.samples()[i].tick, ref.samples[i].tick) << i;
-    EXPECT_EQ(cm.samples()[i].max_link_load, ref.samples[i].max_link_load)
-        << i;
-    EXPECT_EQ(cm.samples()[i].congested_clock,
-              ref.samples[i].congested_clock)
-        << i;
-  }
 
   expect_matches_reference(lm, ref_cells);
 }
@@ -879,9 +849,11 @@ TEST(CongestionExport, HeatmapSideBelowOneRendersOneBucket) {
 }
 
 TEST(CongestionExport, ChromeCounterTrackParsesAndEndsAtFinalValues) {
+  // The track rides the Profiler's phase trace, sampled at every phase
+  // transition.
   Machine m;
-  CongestionMap cm;
-  m.set_trace(&cm);
+  Profiler p(Profiler::Options{.congestion = true});
+  m.set_trace(&p);
   {
     Machine::PhaseScope a(m, "cong_track_a");
     (void)m.send({0, 0}, {0, 2}, Clock{});
@@ -891,38 +863,34 @@ TEST(CongestionExport, ChromeCounterTrackParsesAndEndsAtFinalValues) {
     (void)m.send({0, 0}, {0, 2}, Clock{});
   }
   m.set_trace(nullptr);
+  const CongestionMap* cm = p.congestion();
+  ASSERT_NE(cm, nullptr);
 
-  // Phase transitions recorded samples, deduplicated when nothing moved.
-  EXPECT_FALSE(cm.samples().empty());
-  for (std::size_t i = 1; i < cm.samples().size(); ++i) {
-    const auto& prev = cm.samples()[i - 1];
-    const auto& cur = cm.samples()[i];
-    EXPECT_TRUE(cur.max_link_load != prev.max_link_load ||
-                cur.congested_clock != prev.congested_clock);
-  }
-
-  const auto doc = util::json::parse(cm.chrome_counter_json());
+  const auto doc = util::json::parse(p.chrome_trace_json());
   ASSERT_TRUE(doc.has_value()) << "counter track is not valid JSON";
   const util::json::Value* events = doc->find("traceEvents");
   ASSERT_NE(events, nullptr);
   ASSERT_TRUE(events->is_array());
-  int counters = 0;
-  const util::json::Value* last_args = nullptr;
+  std::vector<std::pair<index_t, index_t>> samples;
   for (const util::json::Value& e : events->array) {
     const util::json::Value* ph = e.find("ph");
     ASSERT_NE(ph, nullptr);
     if (ph->string != "C") continue;
-    ++counters;
     EXPECT_EQ(e.find("name")->string, "link congestion");
-    last_args = e.find("args");
+    const util::json::Value* args = e.find("args");
+    samples.emplace_back(
+        static_cast<index_t>(args->find("max_link_load")->number),
+        static_cast<index_t>(args->find("congested_clock")->number));
   }
-  EXPECT_GT(counters, 0);
-  ASSERT_NE(last_args, nullptr);
+  ASSERT_GE(samples.size(), 2u);
+  // Phase transitions sample only when a counter moved; the closing
+  // sample is always written.
+  for (std::size_t i = 1; i + 1 < samples.size(); ++i) {
+    EXPECT_NE(samples[i], samples[i - 1]) << i;
+  }
   // The closing sample pins the track at the final totals.
-  EXPECT_EQ(static_cast<index_t>(last_args->find("max_link_load")->number),
-            cm.max_link_load());
-  EXPECT_EQ(static_cast<index_t>(last_args->find("congested_clock")->number),
-            cm.congested_clock());
+  EXPECT_EQ(samples.back().first, cm->max_link_load());
+  EXPECT_EQ(samples.back().second, cm->congested_clock());
 }
 
 TEST(CongestionExport, ProfilerReportCarriesSchemaV3CongestionSection) {
@@ -1056,7 +1024,6 @@ TEST(CongestionExport, ProfilerOptionCombinationsMatchStandaloneSinks) {
         EXPECT_EQ(mine.messages(), cm.messages());
         EXPECT_EQ(mine.sorted_links(), cm.sorted_links());
         EXPECT_EQ(mine.congested_clock(), cm.congested_clock());
-        EXPECT_EQ(mine.chrome_counter_json(), cm.chrome_counter_json());
         const auto want = cm.phase_congestion();
         const auto got = mine.phase_congestion();
         ASSERT_EQ(got.size(), want.size());

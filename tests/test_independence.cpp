@@ -61,9 +61,9 @@ TEST(IndependenceAdversarial, WriteWriteConflictIsFlagged) {
   }
   const IndependenceReport& report = checker.report();
   EXPECT_FALSE(report.ok());
-  ASSERT_EQ(report.count(IndependenceViolationKind::kWriteWriteConflict), 1);
-  const IndependenceViolation& v = report.violations.front();
-  EXPECT_EQ(v.kind, IndependenceViolationKind::kWriteWriteConflict);
+  ASSERT_EQ(report.count(ViolationKind::kWriteWriteConflict), 1);
+  const Violation& v = report.violations.front();
+  EXPECT_EQ(v.kind, ViolationKind::kWriteWriteConflict);
   EXPECT_EQ(v.phase, "ww");
   EXPECT_EQ(v.at, (Coord{0, 9}));
   EXPECT_NE(v.detail.find("same destination"), std::string::npos);
@@ -126,13 +126,12 @@ TEST(IndependenceAdversarial, ReadWriteHazardOnRetiredCell) {
     m.send_bulk(batch);
   }
   const IndependenceReport& report = checker.report();
-  ASSERT_EQ(report.count(IndependenceViolationKind::kReadWriteHazard), 1);
-  const IndependenceViolation& v = report.violations.front();
+  ASSERT_EQ(report.count(ViolationKind::kReadWriteHazard), 1);
+  const Violation& v = report.violations.front();
   EXPECT_EQ(v.at, (Coord{0, 5}));
   EXPECT_NE(v.detail.find("retired"), std::string::npos);
   // 1-in/1-out: the hub (aliasing) rule must NOT also fire.
-  EXPECT_EQ(report.count(IndependenceViolationKind::kGatherScatterAliasing),
-            0);
+  EXPECT_EQ(report.count(ViolationKind::kGatherScatterAliasing), 0);
 }
 
 TEST(IndependenceAdversarial, OccupiedCellMayBeSourceAndDestination) {
@@ -224,11 +223,10 @@ TEST(IndependenceAdversarial, GatherScatterAliasingFiresEvenWhenExempt) {
     m.send_bulk(batch);
   }
   const IndependenceReport& report = checker.report();
-  ASSERT_EQ(
-      report.count(IndependenceViolationKind::kGatherScatterAliasing), 1);
+  ASSERT_EQ(report.count(ViolationKind::kGatherScatterAliasing), 1);
   EXPECT_EQ(report.violations.front().at, (Coord{2, 2}));
   // The exemption did suppress the write-write half.
-  EXPECT_EQ(report.count(IndependenceViolationKind::kWriteWriteConflict), 0);
+  EXPECT_EQ(report.count(ViolationKind::kWriteWriteConflict), 0);
   EXPECT_EQ(report.exempted_batches, 1);
 }
 
@@ -246,9 +244,8 @@ TEST(IndependenceAdversarial, UnexemptedHubReportsBothKinds) {
     m.send_bulk(batch);
   }
   const IndependenceReport& report = checker.report();
-  EXPECT_EQ(report.count(IndependenceViolationKind::kWriteWriteConflict), 1);
-  EXPECT_EQ(
-      report.count(IndependenceViolationKind::kGatherScatterAliasing), 1);
+  EXPECT_EQ(report.count(ViolationKind::kWriteWriteConflict), 1);
+  EXPECT_EQ(report.count(ViolationKind::kGatherScatterAliasing), 1);
 }
 
 TEST(IndependenceAdversarial, ViolationsAreReportedInCoordinateOrder) {
@@ -276,7 +273,7 @@ TEST(IndependenceAdversarial, ViolationsAreReportedInCoordinateOrder) {
     m.send_bulk(batch);
   }
   const IndependenceReport& report = checker.report();
-  using Kind = IndependenceViolationKind;
+  using Kind = ViolationKind;
   const std::vector<std::pair<Coord, Kind>> want{
       {{0, 7}, Kind::kWriteWriteConflict},
       {{2, 2}, Kind::kWriteWriteConflict},
@@ -352,17 +349,19 @@ TEST(IndependenceAdversarial, StrictDefaultHonorsTheEnvironment) {
 #ifndef SCM_STRICT_MODEL
   const char* saved = std::getenv("SCM_STRICT_MODEL");
   const std::string restore = saved == nullptr ? "" : saved;
+  // The default is read when a Config is made, from the same switch the
+  // conformance checker reads.
   ::setenv("SCM_STRICT_MODEL", "1", 1);
-  EXPECT_TRUE(IndependenceChecker::strict_model_default());
+  EXPECT_TRUE(IndependenceChecker::Config{}.strict);
   ::setenv("SCM_STRICT_MODEL", "0", 1);
-  EXPECT_FALSE(IndependenceChecker::strict_model_default());
+  EXPECT_FALSE(IndependenceChecker::Config{}.strict);
   if (saved == nullptr) {
     ::unsetenv("SCM_STRICT_MODEL");
   } else {
     ::setenv("SCM_STRICT_MODEL", restore.c_str(), 1);
   }
 #else
-  EXPECT_TRUE(IndependenceChecker::strict_model_default());
+  EXPECT_TRUE(IndependenceChecker::Config{}.strict);
 #endif
 }
 
@@ -432,8 +431,7 @@ class ReferenceIndependence final : public TraceSink {
               "order within a batch is unspecified. Declare the fan-in "
               "order-free with ScopedUnorderedDelivery / "
               "CommutativeDeliveryScope, or split the round";
-        add(IndependenceViolationKind::kWriteWriteConflict, phase, c,
-            os.str());
+        add(ViolationKind::kWriteWriteConflict, phase, c, os.str());
       }
       if (d.in < 1 || d.out < 1) continue;
       if (dead_.contains(c)) {
@@ -443,8 +441,7 @@ class ReferenceIndependence final : public TraceSink {
               "this epoch): the read can only observe the in-batch "
               "arrival, so the round depends on intra-batch order (in-"
            << d.in << "/out-" << d.out << ")";
-        add(IndependenceViolationKind::kReadWriteHazard, phase, c,
-            os.str());
+        add(ViolationKind::kReadWriteHazard, phase, c, os.str());
       }
       if (d.in >= 2 || d.out >= 2) {
         std::ostringstream os;
@@ -452,8 +449,7 @@ class ReferenceIndependence final : public TraceSink {
            << d.in << "/out-" << d.out
            << "): gather and scatter fused into one round. Split into "
               "dependent batches";
-        add(IndependenceViolationKind::kGatherScatterAliasing, phase, c,
-            os.str());
+        add(ViolationKind::kGatherScatterAliasing, phase, c, os.str());
       }
     }
     for (const MessageEvent& e : batch) {
@@ -490,11 +486,11 @@ class ReferenceIndependence final : public TraceSink {
     return phases_.empty() ? std::string("<top>")
                            : PhaseRegistry::instance().name(phases_.back());
   }
-  void add(IndependenceViolationKind kind, const std::string& phase,
-           Coord at, std::string detail) {
+  void add(ViolationKind kind, const std::string& phase, Coord at,
+           std::string detail) {
     ++report_.per_phase[phase].conflicts;
-    report_.violations.push_back(IndependenceViolation{
-        kind, phase, at, std::move(detail), {ring_.begin(), ring_.end()}});
+    report_.violations.push_back(Violation{kind, phase, at, std::move(detail),
+                                           {ring_.begin(), ring_.end()}});
   }
 
   std::size_t capacity_;
@@ -530,8 +526,8 @@ void expect_same_report(const IndependenceReport& got,
   }
   ASSERT_EQ(got.violations.size(), want.violations.size());
   for (std::size_t i = 0; i < got.violations.size(); ++i) {
-    const IndependenceViolation& g = got.violations[i];
-    const IndependenceViolation& w = want.violations[i];
+    const Violation& g = got.violations[i];
+    const Violation& w = want.violations[i];
     EXPECT_EQ(g.kind, w.kind) << "violation " << i;
     EXPECT_EQ(g.phase, w.phase) << "violation " << i;
     EXPECT_EQ(g.at, w.at) << "violation " << i;
@@ -626,14 +622,200 @@ TEST(IndependenceDegreeTable, MatchesPerBatchMapReference) {
     for (int i = 0; i < 800; ++i) random_event();
 
     const IndependenceReport& want = ref.report();
-    EXPECT_GT(want.count(IndependenceViolationKind::kWriteWriteConflict), 0);
-    EXPECT_GT(want.count(IndependenceViolationKind::kReadWriteHazard), 0);
-    EXPECT_GT(want.count(IndependenceViolationKind::kGatherScatterAliasing),
-              0);
+    EXPECT_GT(want.count(ViolationKind::kWriteWriteConflict), 0);
+    EXPECT_GT(want.count(ViolationKind::kReadWriteHazard), 0);
+    EXPECT_GT(want.count(ViolationKind::kGatherScatterAliasing), 0);
     EXPECT_GT(want.exempted_batches, 0);
     EXPECT_GE(ref.exempt_fan_in(), 2);
     expect_same_report(checker.report(), want);
   }
+}
+
+// --- Both checkers' report text, pinned. --------------------------------
+
+// Both reports' text for GoldenRun's stream, as each checker printed it
+// while it kept its own copy of the violation code. The shared code must
+// print it byte for byte.
+const char* const kGoldenConformance = R"golden(conformance: 8 violation(s)
+memory-cap-exceeded in phase "golden/scalar" at (0,3): processor accumulated 3 live words in one epoch (cap 2)
+  message backtrace (oldest first):
+    (0,0) -> (0,3) d=3 clock=(0,0)->(1,3)
+    (1,0) -> (0,3) d=4 clock=(0,0)->(1,4)
+illegal-coordinate in phase "golden/scalar" at (0,9): endpoint (0,9) outside arena [0,0 8x8]
+  message backtrace (oldest first):
+    (0,0) -> (0,3) d=3 clock=(0,0)->(1,3)
+    (1,0) -> (0,3) d=4 clock=(0,0)->(1,4)
+    (2,0) -> (0,3) d=5 clock=(0,0)->(1,5)
+send-from-dead-cell in phase "golden/scalar" at (1,1): send from a processor whose value was retired in this epoch
+  message backtrace (oldest first):
+    (1,0) -> (0,3) d=4 clock=(0,0)->(1,4)
+    (2,0) -> (0,3) d=5 clock=(0,0)->(1,5)
+    (0,3) -> (0,9) d=6 clock=(2,4)->(3,10)
+memory-cap-exceeded in phase "golden/scalar" at (7,7): processor accumulated 3 live words in one epoch (cap 2)
+  message backtrace (oldest first):
+    (2,0) -> (0,3) d=5 clock=(0,0)->(1,5)
+    (0,3) -> (0,9) d=6 clock=(2,4)->(3,10)
+    (1,1) -> (2,2) d=2 clock=(0,0)->(1,2)
+corrupt-distance in phase "golden/open" at (0,0): reported distance 5 for (0,0) -> (0,1) (manhattan 1)
+  message backtrace (oldest first):
+    (4,4) -> (6,4) d=2 clock=(0,0)->(1,2)
+    (5,0) -> (5,5) d=5 clock=(0,0)->(1,5)
+    (6,0) -> (5,5) d=6 clock=(0,0)->(1,6)
+unbalanced-phase in phase "golden/open" at (0,0): phase "golden/open" entered but never exited
+  message backtrace (oldest first):
+    (5,0) -> (5,5) d=5 clock=(0,0)->(1,5)
+    (6,0) -> (5,5) d=6 clock=(0,0)->(1,6)
+    (0,0) -> (0,1) d=5 clock=(0,0)->(1,5)
+energy-mismatch in phase "<top>" at (0,0): machine reports energy 55, message stream re-derives 60
+  message backtrace (oldest first):
+    (5,0) -> (5,5) d=5 clock=(0,0)->(1,5)
+    (6,0) -> (5,5) d=6 clock=(0,0)->(1,6)
+    (0,0) -> (0,1) d=5 clock=(0,0)->(1,5)
+message-count-mismatch in phase "<top>" at (0,0): machine reports 14 messages, message stream re-derives 15
+  message backtrace (oldest first):
+    (5,0) -> (5,5) d=5 clock=(0,0)->(1,5)
+    (6,0) -> (5,5) d=6 clock=(0,0)->(1,6)
+    (0,0) -> (0,1) d=5 clock=(0,0)->(1,5)
+)golden";
+
+const char* const kGoldenIndependence = R"golden(independence: 3 violation(s)
+write-write-conflict in phase "golden/bulk" at (0,5): 2 of 2 batch members deliver to the same destination; delivery order within a batch is unspecified. Declare the fan-in order-free with ScopedUnorderedDelivery / CommutativeDeliveryScope, or split the round
+  message backtrace (oldest first):
+    (1,1) -> (2,2) d=2 clock=(0,0)->(1,2)
+    (0,0) -> (0,5) d=5 clock=(0,0)->(1,5)
+    (1,0) -> (0,5) d=6 clock=(0,0)->(1,6)
+read-write-hazard in phase "golden/bulk" at (3,3): a batch member sends from a cell another member writes, and the cell held no value at batch start (retired earlier this epoch): the read can only observe the in-batch arrival, so the round depends on intra-batch order (in-1/out-1)
+  message backtrace (oldest first):
+    (1,0) -> (0,5) d=6 clock=(0,0)->(1,6)
+    (3,0) -> (3,3) d=3 clock=(0,0)->(1,3)
+    (3,3) -> (3,6) d=3 clock=(0,0)->(1,3)
+gather-scatter-aliasing in phase "golden/bulk" at (4,4): cell relays concentrated traffic within one batch (in-1/out-2): gather and scatter fused into one round. Split into dependent batches
+  message backtrace (oldest first):
+    (4,0) -> (4,4) d=4 clock=(0,0)->(1,4)
+    (4,4) -> (5,4) d=1 clock=(0,0)->(1,1)
+    (4,4) -> (6,4) d=2 clock=(0,0)->(1,2)
+)golden";
+
+const char* const kGoldenPerPhase = R"golden(golden/bulk: batches 4, bulk 9, max batch 3, max fan-in 2, exempted 1, conflicts 3
+)golden";
+
+/// One fixed stream under a FanoutSink of both non-strict checkers, with a
+/// two-word cap, an arena and a three-message backtrace. It hits seven
+/// conformance kinds (the word cap through a send and through births) and
+/// all three batch kinds, and carries one exempt batch.
+struct GoldenRun {
+  GoldenRun()
+      : conformance(conformance_config()),
+        independence(independence_config()) {
+    ScopedGlobalTraceSuspension off;
+    FanoutSink both({&conformance, &independence});
+    Machine m;
+    m.set_trace(&both);
+    {
+      Machine::PhaseScope p(m, "golden/scalar");
+      (void)m.send({0, 0}, {0, 3}, Clock{});
+      (void)m.send({1, 0}, {0, 3}, Clock{});
+      (void)m.send({2, 0}, {0, 3}, Clock{});      // a third word: over the cap
+      (void)m.send({0, 3}, {0, 9}, Clock{2, 4});  // leaves the arena
+      m.death({1, 1});
+      (void)m.send({1, 1}, {2, 2}, Clock{});  // from a retired cell
+      for (int i = 0; i < 3; ++i) m.birth({7, 7}, Clock{1, 1});
+    }
+    {
+      Machine::PhaseScope p(m, "golden/bulk");
+      std::vector<MessageEvent> fan_in{
+          MessageEvent{{0, 0}, {0, 5}, 0, Clock{}, Clock{}},
+          MessageEvent{{1, 0}, {0, 5}, 0, Clock{}, Clock{}}};
+      m.send_bulk(fan_in);  // write-write
+      m.death({3, 3});
+      std::vector<MessageEvent> hazard{
+          MessageEvent{{3, 0}, {3, 3}, 0, Clock{}, Clock{}},
+          MessageEvent{{3, 3}, {3, 6}, 0, Clock{}, Clock{}}};
+      m.send_bulk(hazard);  // read-write
+      std::vector<MessageEvent> hub{
+          MessageEvent{{4, 0}, {4, 4}, 0, Clock{}, Clock{}},
+          MessageEvent{{4, 4}, {5, 4}, 0, Clock{}, Clock{}},
+          MessageEvent{{4, 4}, {6, 4}, 0, Clock{}, Clock{}}};
+      m.send_bulk(hub);  // aliasing
+      ScopedUnorderedDelivery exempt("golden: order-free fan-in");
+      std::vector<MessageEvent> exempt_fan_in{
+          MessageEvent{{5, 0}, {5, 5}, 0, Clock{}, Clock{}},
+          MessageEvent{{6, 0}, {5, 5}, 0, Clock{}, Clock{}}};
+      m.send_bulk(exempt_fan_in);
+    }
+    m.begin_phase("golden/open");  // never exited
+    // Past the Machine: a corrupt distance it never charged, so energy and
+    // message count disagree with its Metrics.
+    both.on_send(MessageEvent{{0, 0}, {0, 1}, 5, Clock{}, Clock{1, 5}});
+    conformance.verify(m);
+  }
+
+  static ConformanceChecker::Config conformance_config() {
+    ConformanceChecker::Config config;
+    config.strict = false;
+    config.live_word_cap = 2;
+    config.arena = Rect{0, 0, 8, 8};
+    config.backtrace_capacity = 3;
+    return config;
+  }
+  static IndependenceChecker::Config independence_config() {
+    IndependenceChecker::Config config;
+    config.strict = false;
+    config.backtrace_capacity = 3;
+    return config;
+  }
+
+  /// One line per phase footprint: name, then every count.
+  [[nodiscard]] std::string per_phase() const {
+    std::ostringstream os;
+    for (const auto& [name, fp] : independence.report().per_phase) {
+      os << name << ": batches " << fp.batches << ", bulk " << fp.bulk_messages
+         << ", max batch " << fp.max_batch << ", max fan-in " << fp.max_fan_in
+         << ", exempted " << fp.exempted_batches << ", conflicts "
+         << fp.conflicts << "\n";
+    }
+    return os.str();
+  }
+
+  ConformanceChecker conformance;
+  IndependenceChecker independence;
+};
+
+TEST(ViolationReportGolden, BothReportsMatchTheirPinnedText) {
+  const GoldenRun run;
+  EXPECT_EQ(run.conformance.report().str(), kGoldenConformance);
+  EXPECT_EQ(run.independence.report().str(), kGoldenIndependence);
+  EXPECT_EQ(run.per_phase(), kGoldenPerPhase);
+}
+
+TEST(ViolationReportGoldenDeathTest, ConformanceBannerIsTheFirstLine) {
+  ScopedGlobalTraceSuspension off;
+  ConformanceChecker::Config config;
+  config.strict = true;
+  EXPECT_DEATH(
+      {
+        ConformanceChecker strict_checker(config);
+        strict_checker.on_send(
+            MessageEvent{{0, 0}, {0, 3}, 3, Clock{5, 10}, Clock{5, 10}});
+      },
+      "^SCM_STRICT_MODEL: model conformance violation\n"
+      "non-monotone-clock in phase \"<top>\" at ");
+}
+
+TEST(ViolationReportGoldenDeathTest, IndependenceBannerIsTheFirstLine) {
+  ScopedGlobalTraceSuspension off;
+  IndependenceChecker::Config config;
+  config.strict = true;
+  const std::vector<MessageEvent> bad{
+      MessageEvent{{0, 0}, {0, 9}, 9, Clock{}, Clock{1, 9}},
+      MessageEvent{{1, 0}, {0, 9}, 10, Clock{}, Clock{1, 10}}};
+  EXPECT_DEATH(
+      {
+        IndependenceChecker strict_checker(config);
+        strict_checker.on_send_bulk(bad);
+      },
+      "^SCM_STRICT_MODEL: batch-independence violation\n"
+      "write-write-conflict in phase \"<top>\" at ");
 }
 
 // --- Operator annotations. ----------------------------------------------
@@ -692,12 +874,8 @@ TEST(IndependenceFanout, FanoutForwardsBatchesWithoutReplay) {
   }
   EXPECT_EQ(first.report().batches, 1);
   EXPECT_EQ(second.report().batches, 1);
-  EXPECT_EQ(
-      first.report().count(IndependenceViolationKind::kWriteWriteConflict),
-      1);
-  EXPECT_EQ(
-      second.report().count(IndependenceViolationKind::kWriteWriteConflict),
-      1);
+  EXPECT_EQ(first.report().count(ViolationKind::kWriteWriteConflict), 1);
+  EXPECT_EQ(second.report().count(ViolationKind::kWriteWriteConflict), 1);
 }
 
 // --- Profiler export: the run report carries the verdict. ---------------

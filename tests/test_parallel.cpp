@@ -447,28 +447,26 @@ TEST(ShardedCongestion, ResetPreservesPhaseStackLikeSerial) {
   EXPECT_GT(sharded.phase_peak(pa), 0);
 }
 
-// ---- phases() caching (satellite: Machine::phases materialization) --------
+// ---- phases() snapshots (Machine::phases materialization) ----------------
 
-TEST(MachinePhases, CachedReferenceInvalidatedOnMutation) {
+TEST(MachinePhases, SnapshotReflectsEveryMutation) {
   Machine m;
   {
     const Machine::PhaseScope p(m, "alpha");
     m.send({0, 0}, {0, 3}, Clock{});
   }
-  const auto& first = m.phases();
+  const auto first = m.phases();
   EXPECT_EQ(first.size(), 1u);
   EXPECT_EQ(first.at("alpha").energy, 3);
-  // Repeated calls return the same object without rebuilding.
-  EXPECT_EQ(&first, &m.phases());
-  // Charging under an active phase invalidates; the same reference
-  // observes the refreshed contents on the next call.
+  // Each call builds a fresh snapshot, so charging under an active phase
+  // shows in the next one.
   {
     const Machine::PhaseScope p(m, "alpha");
     m.send({0, 0}, {0, 2}, Clock{});
   }
-  const auto& second = m.phases();
-  EXPECT_EQ(&first, &second);
+  const auto second = m.phases();
   EXPECT_EQ(second.at("alpha").energy, 5);
+  EXPECT_EQ(first.at("alpha").energy, 3);  // an earlier snapshot stays put
   {
     const Machine::PhaseScope p(m, "beta");
     m.op(4);
