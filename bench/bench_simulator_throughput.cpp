@@ -34,7 +34,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <span>
 #include <string>
 #include <vector>
 
@@ -267,7 +266,7 @@ void BM_BulkSinglePhaseCongestion(benchmark::State& state) {
 }
 BENCHMARK(BM_BulkSinglePhaseCongestion);
 
-// End-to-end routing through the whole stack (GridArray coordinate cache,
+// End-to-end routing through the whole stack (GridArray placement,
 // per-phase attribution): one Z-order -> row-major permutation of a 64x64
 // grid per iteration. The bulk shape charges it with route_permutation's
 // single send_bulk; the scalar shape charges the same coordinates with a
@@ -297,11 +296,8 @@ void run_routing(benchmark::State& state, Route route) {
 void BM_RoutingScalar(benchmark::State& state) {
   run_routing(state, [](Machine& m, const GridArray<int>& src, Rect region) {
     GridArray<int> dst(region, Layout::kRowMajor, src.size());
-    const std::span<const Coord> from = src.coords();
-    const std::span<const Coord> to = dst.coords();
     for (index_t i = 0; i < src.size(); ++i) {
-      const auto k = static_cast<std::size_t>(i);
-      const Clock arrival = m.send(from[k], to[k], src[i].clock);
+      const Clock arrival = m.send(src.coord(i), dst.coord(i), src[i].clock);
       dst[i] = Cell<int>{src[i].value, arrival};
     }
     return dst;

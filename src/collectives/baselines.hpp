@@ -114,15 +114,13 @@ template <class T, class Op>
   const index_t n = a.size();
   std::vector<Cell<T>> acc(static_cast<size_t>(n));
   for (index_t i = 0; i < n; ++i) acc[static_cast<size_t>(i)] = a[i];
-  const std::span<const Coord> at = a.coords();
   std::vector<MessageEvent> batch;
   for (index_t span = 1; span < n; span *= 2) {
     // A round's senders (index % 2span == span) and receivers (== 0) are
     // disjoint and every payload is a pre-round accumulator: one batch.
     batch.clear();
     for (index_t i = 0; i + span < n; i += span * 2) {
-      batch.push_back(MessageEvent{at[static_cast<size_t>(i + span)],
-                                   at[static_cast<size_t>(i)], 0,
+      batch.push_back(MessageEvent{a.coord(i + span), a.coord(i), 0,
                                    acc[static_cast<size_t>(i + span)].clock,
                                    Clock{}});
     }

@@ -26,11 +26,9 @@
 #include "collectives/operators.hpp"
 #include "spatial/grid_array.hpp"
 #include "spatial/machine.hpp"
-#include "spatial/zorder.hpp"
 
 #include <cassert>
 #include <optional>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -77,10 +75,7 @@ class ScanExec {
   /// of underfilled subtrees may be stored). Honours the array's offset so
   /// scans over z-order sub-ranges stay within their span.
   Coord zcoord(index_t z) const {
-    const Rect& r = in_.region();
-    const index_t pos = in_.offset() + z;
-    if (in_.layout() == Layout::kZOrder) return zorder_coord(r, pos);
-    return r.at(pos / r.cols, pos % r.cols);
+    return layout_coord(in_.region(), in_.layout(), in_.offset() + z);
   }
 
   /// Computes the subtree total of positions [lo, lo + arity^height),
@@ -219,14 +214,12 @@ template <class T, class Op>
   if (a.size() == 0) return out;
   out[0] = Cell<T>{identity, Clock{}};
   // The shifts are independent (each reads only the inclusive result), so
-  // the whole curve walk is one bulk batch over the cached coordinates.
-  const std::span<const Coord> at = inclusive.coords();
+  // the whole curve walk is one bulk batch.
   std::vector<MessageEvent> batch(static_cast<size_t>(a.size() - 1));
   for (index_t i = 1; i < a.size(); ++i) {
     batch[static_cast<size_t>(i - 1)] =
-        MessageEvent{at[static_cast<size_t>(i - 1)],
-                     at[static_cast<size_t>(i)], 0, inclusive[i - 1].clock,
-                     Clock{}};
+        MessageEvent{inclusive.coord(i - 1), inclusive.coord(i), 0,
+                     inclusive[i - 1].clock, Clock{}};
   }
   m.send_bulk(batch);
   for (index_t i = 1; i < a.size(); ++i) {

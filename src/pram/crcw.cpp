@@ -13,7 +13,7 @@ namespace scm::pram {
 namespace {
 
 Coord mem_coord(const Rect& mem, index_t cell) {
-  return mem.at(cell / mem.cols, cell % mem.cols);
+  return layout_coord(mem, Layout::kRowMajor, cell);
 }
 
 /// One access tuple; `cell == sentinel` marks a processor that does not

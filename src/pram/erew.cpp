@@ -1,5 +1,6 @@
 #include "pram/erew.hpp"
 
+#include "spatial/grid_array.hpp"
 #include "spatial/zorder.hpp"
 
 #include <map>
@@ -19,7 +20,7 @@ PramPlacement default_placement(index_t p, index_t m, Coord origin) {
 namespace {
 
 Coord mem_coord(const Rect& mem, index_t cell) {
-  return mem.at(cell / mem.cols, cell % mem.cols);
+  return layout_coord(mem, Layout::kRowMajor, cell);
 }
 
 }  // namespace

@@ -58,14 +58,15 @@ struct WirePair {
 /// network step) as a single Machine::send_bulk batch of 2 messages per
 /// pair plus one op_bulk and one observe of the round's joined clocks.
 /// Pairs of a step touch disjoint wires, so every exchange reads pre-round
-/// clocks — exactly what the scalar per-pair loop did. `batch` is caller
-/// scratch reused across rounds.
+/// clocks — exactly what the scalar per-pair loop did. `at` holds every
+/// wire's coordinate and `batch` is caller scratch, both reused across
+/// rounds.
 template <class T, class Less>
 void compare_exchange_round(Machine& m, GridArray<T>& a,
+                            std::span<const Coord> at,
                             const std::vector<WirePair>& pairs, Less less,
                             std::vector<MessageEvent>& batch) {
   if (pairs.empty()) return;
-  const std::span<const Coord> at = a.coords();
   batch.resize(2 * pairs.size());
   for (size_t k = 0; k < pairs.size(); ++k) {
     const WirePair& p = pairs[k];
@@ -109,6 +110,8 @@ void bitonic_merge(Machine& m, GridArray<T>& a, Less less) {
   assert(is_pow2(a.size()) || a.size() == 0);
   Machine::PhaseScope scope(m, "bitonic_merge");
   const index_t n = a.size();
+  std::vector<Coord> at(static_cast<size_t>(n));
+  for (index_t i = 0; i < n; ++i) at[static_cast<size_t>(i)] = a.coord(i);
   std::vector<detail::WirePair> pairs;
   std::vector<MessageEvent> batch;
   for (index_t j = n / 2; j > 0; j /= 2) {
@@ -122,7 +125,7 @@ void bitonic_merge(Machine& m, GridArray<T>& a, Less less) {
       if ((i & j) != 0) continue;
       pairs.push_back(detail::WirePair{i, i + j, /*asc=*/true});
     }
-    detail::compare_exchange_round(m, a, pairs, less, batch);
+    detail::compare_exchange_round(m, a, at, pairs, less, batch);
   }
 }
 
@@ -136,6 +139,8 @@ void bitonic_sort(Machine& m, GridArray<T>& a, Less less) {
   assert(is_pow2(a.size()) || a.size() == 0);
   Machine::PhaseScope scope(m, "bitonic_sort");
   const index_t n = a.size();
+  std::vector<Coord> at(static_cast<size_t>(n));
+  for (index_t i = 0; i < n; ++i) at[static_cast<size_t>(i)] = a.coord(i);
   std::vector<detail::WirePair> pairs;
   std::vector<MessageEvent> batch;
   for (index_t k = 2; k <= n; k *= 2) {
@@ -148,7 +153,7 @@ void bitonic_sort(Machine& m, GridArray<T>& a, Less less) {
         if (l <= i) continue;
         pairs.push_back(detail::WirePair{i, l, /*asc=*/(i & k) == 0});
       }
-      detail::compare_exchange_round(m, a, pairs, less, batch);
+      detail::compare_exchange_round(m, a, at, pairs, less, batch);
     }
   }
 }

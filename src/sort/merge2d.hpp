@@ -93,10 +93,9 @@ GridArray<T> merge_base(Machine& m, const std::vector<const GridArray<T>*>& in,
   std::vector<MessageEvent> batch;
   batch.reserve(static_cast<size_t>(n));
   for (const auto* arr : in) {
-    const std::span<const Coord> at = arr->coords();
     for (index_t i = 0; i < arr->size(); ++i) {
-      batch.push_back(MessageEvent{at[static_cast<size_t>(i)], work, 0,
-                                   (*arr)[i].clock, Clock{}});
+      batch.push_back(
+          MessageEvent{arr->coord(i), work, 0, (*arr)[i].clock, Clock{}});
       all.push_back(Gathered{(*arr)[i].value, Clock{}});
     }
   }
@@ -123,11 +122,10 @@ GridArray<T> merge_base(Machine& m, const std::vector<const GridArray<T>*>& in,
   m.op(n);
   // Every output position depends on the full gathered set (the local sort
   // decides all placements), so scattered elements carry the joined clock.
-  const std::span<const Coord> dst = out.coords();
   batch.assign(static_cast<size_t>(n), MessageEvent{});
   for (index_t i = 0; i < n; ++i) {
-    batch[static_cast<size_t>(i)] = MessageEvent{
-        work, dst[static_cast<size_t>(i)], 0, ready, Clock{}};
+    batch[static_cast<size_t>(i)] =
+        MessageEvent{work, out.coord(i), 0, ready, Clock{}};
   }
   m.send_bulk(batch);
   for (index_t i = 0; i < n; ++i) {
@@ -145,19 +143,17 @@ void route_split(Machine& m, const GridArray<T>& src, index_t first,
                  index_t count, GridArray<T>& out, index_t dst_i,
                  const GridArray<char>& plan, const Rect& plan_rect) {
   if (count == 0) return;
-  const std::span<const Coord> src_at = src.coords();
-  const std::span<const Coord> out_at = out.coords();
   std::vector<MessageEvent> batch(static_cast<size_t>(count));
   for (index_t i = 0; i < count; ++i) {
-    const Coord from = src_at[static_cast<size_t>(first + i)];
+    const Coord from = src.coord(first + i);
     Clock clock = src[first + i].clock;
     if (plan_rect.contains(from)) {
       const index_t pi = (from.row - plan_rect.row0) * plan_rect.cols +
                          (from.col - plan_rect.col0);
       clock = Clock::join(clock, plan[pi].clock);
     }
-    batch[static_cast<size_t>(i)] = MessageEvent{
-        from, out_at[static_cast<size_t>(dst_i + i)], 0, clock, Clock{}};
+    batch[static_cast<size_t>(i)] =
+        MessageEvent{from, out.coord(dst_i + i), 0, clock, Clock{}};
   }
   m.send_bulk(batch);  // bulk-ok: caller holds the merge2d phase scope
   for (index_t i = 0; i < count; ++i) {
@@ -208,16 +204,13 @@ template <class T, class Less>
           less);
     }
     // A sorted one-sided input only needs repositioning into the range,
-    // charged as one bulk batch over the cached coordinate maps.
+    // charged as one bulk batch.
     const GridArray<T>& src = a.empty() ? b : a;
     GridArray<T> out(region, Layout::kZOrder, n, dst_offset);
-    const std::span<const Coord> from = src.coords();
-    const std::span<const Coord> to = out.coords();
     std::vector<MessageEvent> batch(static_cast<size_t>(n));
     for (index_t i = 0; i < n; ++i) {
       batch[static_cast<size_t>(i)] =
-          MessageEvent{from[static_cast<size_t>(i)],
-                       to[static_cast<size_t>(i)], 0, src[i].clock, Clock{}};
+          MessageEvent{src.coord(i), out.coord(i), 0, src[i].clock, Clock{}};
     }
     m.send_bulk(batch);
     for (index_t i = 0; i < n; ++i) {

@@ -17,6 +17,7 @@
 
 #include <cassert>
 #include <span>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -24,6 +25,16 @@ namespace scm {
 
 /// Element order of a GridArray on its subgrid.
 enum class Layout { kRowMajor, kZOrder };
+
+/// Coordinate of the processor at position `pos` of `region`'s traversal
+/// in `layout` order: the pos-th cell of its row-major walk, or of its
+/// Z-order walk (which needs a power-of-two square region). Every array
+/// placement in the library is this function of the index.
+[[nodiscard]] inline Coord layout_coord(const Rect& region, Layout layout,
+                                        index_t pos) {
+  if (layout == Layout::kZOrder) return zorder_coord(region, pos);
+  return region.at(pos / region.cols, pos % region.cols);
+}
 
 /// A value held by one processor together with its critical-path clock.
 template <class T>
@@ -43,17 +54,23 @@ template <class T>
 class GridArray {
  public:
   /// An empty array of `n` default-constructed elements on `region`.
+  /// Throws std::invalid_argument when the positions [offset, offset + n)
+  /// do not fit the region, or when a non-empty Z-order array's region is
+  /// not a power-of-two square.
   GridArray(Rect region, Layout layout, index_t n, index_t offset = 0)
-      : region_(region),
-        layout_(layout),
-        offset_(offset),
-        cells_(static_cast<size_t>(n)) {
-    assert(n >= 0 && offset >= 0 && offset + n <= region.size());
-    // A Z-order region must be a power-of-two square — except that an
-    // empty array never decodes a Morton position, so any region
+      : region_(region), layout_(layout), offset_(offset) {
+    if (n < 0 || offset < 0 || offset + n > region.size()) {
+      throw std::invalid_argument(
+          "GridArray: positions [offset, offset + n) exceed the region");
+    }
+    // An empty array never decodes a Morton position, so any region
     // (including a degenerate 0 x 0 one) is fine for n == 0.
-    assert(n == 0 || layout != Layout::kZOrder ||
-           (region.square() && is_pow2(region.rows)));
+    if (n > 0 && layout == Layout::kZOrder &&
+        !(region.square() && is_pow2(region.rows))) {
+      throw std::invalid_argument(
+          "GridArray: a Z-order region must be a power-of-two square");
+    }
+    cells_.resize(static_cast<size_t>(n));
   }
 
   /// The canonical array for `n` elements: a sqrt(n) x sqrt(n) (rounded up
@@ -92,28 +109,11 @@ class GridArray {
   /// Layout position of element 0 within the region's traversal order.
   [[nodiscard]] index_t offset() const { return offset_; }
 
-  /// Coordinate of the processor holding element i: an array load once
-  /// coords() has built the cache, otherwise computed on the fly.
+  /// Coordinate of the processor holding element i: layout position
+  /// offset + i of the region.
   [[nodiscard]] Coord coord(index_t i) const {
     assert(i >= 0 && i < size());
-    if (!coords_.empty()) return coords_[static_cast<size_t>(i)];
-    return compute_coord(offset_ + i);
-  }
-
-  /// Every element's coordinate, lazily computed once and cached for the
-  /// array's lifetime (the placement is immutable after construction).
-  /// This is a host-side simulator cache — 16 bytes per element on the
-  /// simulating machine, not storage charged to the model's O(1)-memory
-  /// processors. Bulk routines force it so their inner loops do array
-  /// loads instead of per-element Morton decodes.
-  [[nodiscard]] std::span<const Coord> coords() const {
-    if (coords_.empty() && !cells_.empty()) {
-      coords_.reserve(cells_.size());
-      for (index_t i = 0; i < size(); ++i) {
-        coords_.push_back(compute_coord(offset_ + i));
-      }
-    }
-    return coords_;
+    return layout_coord(region_, layout_, offset_ + i);
   }
 
   [[nodiscard]] Cell<T>& operator[](index_t i) {
@@ -146,11 +146,9 @@ class GridArray {
   /// checker) see the placement explicitly.
   void announce(Machine& m) const {
     if (empty()) return;
-    // bulk-ok: coords() is a span over this array's own cached storage
-    const std::span<const Coord> at = coords();
     std::vector<BirthEvent> batch(cells_.size());
     for (size_t i = 0; i < cells_.size(); ++i) {
-      batch[i] = BirthEvent{at[i], cells_[i].clock};
+      batch[i] = BirthEvent{coord(static_cast<index_t>(i)), cells_[i].clock};
     }
     m.birth_bulk(batch);  // bulk-ok: attributed to the caller's phase
   }
@@ -160,22 +158,18 @@ class GridArray {
   /// a conformance violation until a new value arrives there.
   void retire(Machine& m) const {
     if (empty()) return;
-    m.death_bulk(coords());  // bulk-ok: attributed to the caller's phase
+    std::vector<Coord> batch(cells_.size());
+    for (size_t i = 0; i < cells_.size(); ++i) {
+      batch[i] = coord(static_cast<index_t>(i));
+    }
+    m.death_bulk(batch);  // bulk-ok: attributed to the caller's phase
   }
 
  private:
-  Coord compute_coord(index_t pos) const {
-    if (layout_ == Layout::kRowMajor) {
-      return region_.at(pos / region_.cols, pos % region_.cols);
-    }
-    return zorder_coord(region_, pos);
-  }
-
   Rect region_;
   Layout layout_;
   index_t offset_{0};
   std::vector<Cell<T>> cells_;
-  mutable std::vector<Coord> coords_;
 };
 
 /// Sends element `i` of `src` to slot `j` of `dst`, charging the message
@@ -212,7 +206,7 @@ void send_elements(Machine& m, const GridArray<T>& src, GridArray<T>& dst,
 /// Routes every element of `src` directly to its position in a fresh array
 /// with the given region/layout (a direct permutation: one message per
 /// element, as used for the Z-order -> row-major step of the 2-D merge),
-/// charged as a single send_bulk batch over the cached coordinate maps.
+/// charged as a single send_bulk batch.
 /// `perm[i]` gives the destination index of source element i; pass an
 /// identity-sized empty vector for the identity routing.
 template <class T>
@@ -222,14 +216,11 @@ GridArray<T> route_permutation(Machine& m, const GridArray<T>& src,
   GridArray<T> dst(dst_region, dst_layout, src.size());
   if (src.empty()) return dst;
   assert(perm.empty() || perm.size() == static_cast<size_t>(src.size()));
-  const std::span<const Coord> from = src.coords();
-  const std::span<const Coord> to = dst.coords();
   std::vector<MessageEvent> batch(static_cast<size_t>(src.size()));
   for (index_t i = 0; i < src.size(); ++i) {
     const index_t j = perm.empty() ? i : perm[static_cast<size_t>(i)];
     batch[static_cast<size_t>(i)] =
-        MessageEvent{from[static_cast<size_t>(i)], to[static_cast<size_t>(j)],
-                     0, src[i].clock, Clock{}};
+        MessageEvent{src.coord(i), dst.coord(j), 0, src[i].clock, Clock{}};
   }
   m.send_bulk(batch);  // bulk-ok: caller holds the phase scope
   for (index_t i = 0; i < src.size(); ++i) {

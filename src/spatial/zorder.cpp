@@ -1,89 +1,8 @@
 #include "spatial/zorder.hpp"
 
-#include <array>
 #include <cassert>
-#include <cstdint>
 
 namespace scm {
-
-namespace {
-
-// Byte-at-a-time Morton tables: kSpread[b] interleaves a zero bit after
-// every bit of the byte b (bit i of b lands at bit 2i), kGather[b] is the
-// inverse restricted to the even bit positions of b. Four table loads
-// replace the five-step parallel-prefix shuffle per encode/decode, which
-// is what makes a cached GridArray coordinate sweep an array walk.
-constexpr std::uint16_t spread_byte(std::uint32_t b) {
-  std::uint32_t v = b & 0xffU;
-  v = (v | (v << 4)) & 0x0f0fU;
-  v = (v | (v << 2)) & 0x3333U;
-  v = (v | (v << 1)) & 0x5555U;
-  return static_cast<std::uint16_t>(v);
-}
-
-constexpr std::uint8_t gather_byte(std::uint32_t b) {
-  std::uint32_t v = b & 0x55U;
-  v = (v | (v >> 1)) & 0x33U;
-  v = (v | (v >> 2)) & 0x0fU;
-  return static_cast<std::uint8_t>(v);
-}
-
-template <class T, T (*Fn)(std::uint32_t)>
-constexpr std::array<T, 256> make_lut() {
-  std::array<T, 256> lut{};
-  for (std::uint32_t b = 0; b < 256; ++b) lut[b] = Fn(b);
-  return lut;
-}
-
-constexpr std::array<std::uint16_t, 256> kSpread =
-    make_lut<std::uint16_t, spread_byte>();
-// kGather maps a byte to the 4-bit value held in its even bit positions;
-// indexing it with (v >> k) & 0xff gathers one byte of interleaved input.
-constexpr std::array<std::uint8_t, 256> kGather =
-    make_lut<std::uint8_t, gather_byte>();
-
-// Spreads the low 32 bits of v so that bit i moves to bit 2i.
-std::uint64_t spread_bits(std::uint64_t v) {
-  std::uint64_t out = 0;
-  for (int byte = 0; byte < 4; ++byte) {
-    out |= static_cast<std::uint64_t>(kSpread[(v >> (8 * byte)) & 0xffU])
-           << (16 * byte);
-  }
-  return out;
-}
-
-// Inverse of spread_bits: gathers every second bit back together.
-std::uint64_t gather_bits(std::uint64_t v) {
-  std::uint64_t out = 0;
-  for (int byte = 0; byte < 8; ++byte) {
-    out |= static_cast<std::uint64_t>(kGather[(v >> (8 * byte)) & 0xffU])
-           << (4 * byte);
-  }
-  return out;
-}
-
-}  // namespace
-
-index_t zorder_encode(index_t row, index_t col) {
-  assert(row >= 0 && col >= 0);
-  const auto r = static_cast<std::uint64_t>(row);
-  const auto c = static_cast<std::uint64_t>(col);
-  return static_cast<index_t>((spread_bits(r) << 1) | spread_bits(c));
-}
-
-Offset2D zorder_decode(index_t z) {
-  assert(z >= 0);
-  const auto v = static_cast<std::uint64_t>(z);
-  return Offset2D{static_cast<index_t>(gather_bits(v >> 1)),
-                  static_cast<index_t>(gather_bits(v))};
-}
-
-Coord zorder_coord(const Rect& rect, index_t i) {
-  assert(rect.square() && is_pow2(rect.rows));
-  assert(i >= 0 && i < rect.size());
-  const Offset2D off = zorder_decode(i);
-  return rect.at(off.row, off.col);
-}
 
 index_t zorder_index(const Rect& rect, Coord c) {
   assert(rect.square() && is_pow2(rect.rows));

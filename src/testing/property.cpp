@@ -140,7 +140,6 @@ ReplayCost replay_bitonic(const CaseInput& in) {
   if (in.n <= 1) return cost;
   const index_t padded = ceil_pow2(in.n);
   const GridArray<char> wires(in.geom.region, layout_of(in), padded);
-  const std::span<const Coord> at = wires.coords();
   for (index_t k = 2; k <= padded; k *= 2) {
     for (index_t j = k / 2; j > 0; j /= 2) {
       double round_max = 0;
@@ -148,8 +147,8 @@ ReplayCost replay_bitonic(const CaseInput& in) {
       for (index_t i = 0; i < padded; ++i) {
         const index_t l = i ^ j;
         if (l <= i) continue;
-        const auto d = static_cast<double>(
-            manhattan(at[static_cast<size_t>(i)], at[static_cast<size_t>(l)]));
+        const auto d =
+            static_cast<double>(manhattan(wires.coord(i), wires.coord(l)));
         cost.energy += 2 * d;
         round_max = std::max(round_max, d);
         any = true;
@@ -170,7 +169,6 @@ ReplayCost replay_binomial_broadcast(const Rect& rect) {
   const index_t n = rect.size();
   if (n <= 1) return cost;
   const GridArray<char> cells(rect, Layout::kRowMajor, n);
-  const std::span<const Coord> at = cells.coords();
   std::vector<bool> has(static_cast<size_t>(n), false);
   has[0] = true;
   index_t span = ceil_pow2(n);
@@ -183,8 +181,8 @@ ReplayCost replay_binomial_broadcast(const Rect& rect) {
       }
       if (i % (span * 2) != 0) continue;
       has[static_cast<size_t>(i + span)] = true;
-      const auto d = static_cast<double>(manhattan(
-          at[static_cast<size_t>(i)], at[static_cast<size_t>(i + span)]));
+      const auto d =
+          static_cast<double>(manhattan(cells.coord(i), cells.coord(i + span)));
       cost.energy += d;
       round_max = std::max(round_max, d);
       any = true;
@@ -202,13 +200,12 @@ ReplayCost replay_binomial_reduce(const CaseInput& in) {
   const index_t n = in.n;
   if (n <= 1) return cost;
   const GridArray<char> cells(in.geom.region, layout_of(in), n);
-  const std::span<const Coord> at = cells.coords();
   for (index_t span = 1; span < n; span *= 2) {
     double round_max = 0;
     bool any = false;
     for (index_t i = 0; i + span < n; i += span * 2) {
-      const auto d = static_cast<double>(manhattan(
-          at[static_cast<size_t>(i + span)], at[static_cast<size_t>(i)]));
+      const auto d =
+          static_cast<double>(manhattan(cells.coord(i + span), cells.coord(i)));
       cost.energy += d;
       round_max = std::max(round_max, d);
       any = true;

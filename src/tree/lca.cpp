@@ -129,7 +129,7 @@ LcaResult lca(Machine& m, const DenseTree& t, const EulerTour& tour,
   std::map<std::pair<index_t, index_t>, NodeRec> nodes;
   const index_t capacity = occ.region().size();
   auto node_coord = [&](index_t lo, index_t h) {
-    return h == 0 ? occ.coord(lo) : zorder_coord(occ.region(), lo + h);
+    return zorder_coord(occ.region(), lo + h);
   };
   {
     Machine::PhaseScope rp(m, "tree_lca/rmq");

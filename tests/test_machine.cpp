@@ -2,7 +2,11 @@
 // clocks, phase attribution.
 #include "spatial/machine.hpp"
 
+#include "core/scm.hpp"
+
 #include <gtest/gtest.h>
+
+#include <string>
 
 namespace scm {
 namespace {
@@ -112,6 +116,58 @@ TEST(Metrics, SinceSubtractsAdditiveCounters) {
   EXPECT_EQ(delta.energy, 5);
   EXPECT_EQ(delta.messages, 1);
   EXPECT_EQ(delta.local_ops, 2);
+}
+
+TEST(MachinePhases, SnapshotReflectsEveryMutation) {
+  Machine m;
+  {
+    const Machine::PhaseScope p(m, "alpha");
+    m.send({0, 0}, {0, 3}, Clock{});
+  }
+  const auto first = m.phases();
+  EXPECT_EQ(first.size(), 1u);
+  EXPECT_EQ(first.at("alpha").energy, 3);
+  // Each call builds a fresh snapshot, so charging under an active phase
+  // shows in the next one.
+  {
+    const Machine::PhaseScope p(m, "alpha");
+    m.send({0, 0}, {0, 2}, Clock{});
+  }
+  const auto second = m.phases();
+  EXPECT_EQ(second.at("alpha").energy, 5);
+  EXPECT_EQ(first.at("alpha").energy, 3);  // an earlier snapshot stays put
+  {
+    const Machine::PhaseScope p(m, "beta");
+    m.op(4);
+  }
+  EXPECT_EQ(m.phases().size(), 2u);
+  EXPECT_EQ(m.phases().at("beta").local_ops, 4);
+  m.reset();
+  EXPECT_TRUE(m.phases().empty());
+}
+
+TEST(MachinePhases, CostReportUnchangedByInterleavedPhaseQueries) {
+  const auto run = [](bool query_between_charges) {
+    Machine m;
+    {
+      const Machine::PhaseScope p(m, "report-a");
+      m.send({0, 0}, {4, 4}, Clock{});
+      if (query_between_charges) (void)m.phases();
+      m.send({1, 1}, {2, 7}, Clock{});
+    }
+    if (query_between_charges) (void)m.phases();
+    {
+      const Machine::PhaseScope p(m, "report-b");
+      m.op(3);
+    }
+    return cost_report(m);
+  };
+  const std::string plain = run(false);
+  const std::string queried = run(true);
+  EXPECT_FALSE(plain.empty());
+  // phases() builds a read-only snapshot, so querying it between charges
+  // must not change a byte of the report.
+  EXPECT_EQ(plain, queried);
 }
 
 }  // namespace

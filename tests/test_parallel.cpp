@@ -7,7 +7,6 @@
 // mechanisms.
 #include "spatial/parallel.hpp"
 
-#include "core/scm.hpp"
 #include "spatial/congestion.hpp"
 #include "spatial/geometry.hpp"
 #include "spatial/independence.hpp"
@@ -445,58 +444,6 @@ TEST(ShardedCongestion, ResetPreservesPhaseStackLikeSerial) {
   EXPECT_EQ(sharded.messages(), 1);
   EXPECT_EQ(sharded.phase_peak(pa), serial.phase_peak(pa));
   EXPECT_GT(sharded.phase_peak(pa), 0);
-}
-
-// ---- phases() snapshots (Machine::phases materialization) ----------------
-
-TEST(MachinePhases, SnapshotReflectsEveryMutation) {
-  Machine m;
-  {
-    const Machine::PhaseScope p(m, "alpha");
-    m.send({0, 0}, {0, 3}, Clock{});
-  }
-  const auto first = m.phases();
-  EXPECT_EQ(first.size(), 1u);
-  EXPECT_EQ(first.at("alpha").energy, 3);
-  // Each call builds a fresh snapshot, so charging under an active phase
-  // shows in the next one.
-  {
-    const Machine::PhaseScope p(m, "alpha");
-    m.send({0, 0}, {0, 2}, Clock{});
-  }
-  const auto second = m.phases();
-  EXPECT_EQ(second.at("alpha").energy, 5);
-  EXPECT_EQ(first.at("alpha").energy, 3);  // an earlier snapshot stays put
-  {
-    const Machine::PhaseScope p(m, "beta");
-    m.op(4);
-  }
-  EXPECT_EQ(m.phases().size(), 2u);
-  EXPECT_EQ(m.phases().at("beta").local_ops, 4);
-  m.reset();
-  EXPECT_TRUE(m.phases().empty());
-}
-
-TEST(MachinePhases, CostReportByteIdenticalWithCacheHitsInterleaved) {
-  const auto run = [](bool query_between_charges) {
-    Machine m;
-    {
-      const Machine::PhaseScope p(m, "report-a");
-      m.send({0, 0}, {4, 4}, Clock{});
-      if (query_between_charges) (void)m.phases();
-      m.send({1, 1}, {2, 7}, Clock{});
-    }
-    if (query_between_charges) (void)m.phases();
-    {
-      const Machine::PhaseScope p(m, "report-b");
-      m.op(3);
-    }
-    return cost_report(m);
-  };
-  const std::string cold = run(false);
-  const std::string warm = run(true);
-  EXPECT_FALSE(cold.empty());
-  EXPECT_EQ(cold, warm);  // cache hits must never change report bytes
 }
 
 }  // namespace

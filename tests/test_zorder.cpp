@@ -40,7 +40,7 @@ TEST(ZOrder, LargeCoordinatesRoundTrip) {
 }
 
 // Bit-at-a-time reference implementations, cross-checked against the
-// byte-LUT production encode/decode.
+// shift-and-mask production encode/decode.
 index_t reference_encode(index_t row, index_t col) {
   index_t z = 0;
   for (int bit = 0; bit < 31; ++bit) {
@@ -59,8 +59,8 @@ Offset2D reference_decode(index_t z) {
   return off;
 }
 
-TEST(ZOrder, ByteLutMatchesBitReference) {
-  // Dense small range plus sparse strides reaching every LUT byte lane.
+TEST(ZOrder, ShiftMaskMatchesBitReference) {
+  // Dense small range plus sparse strides reaching every byte of the code.
   for (index_t z = 0; z < 1 << 16; ++z) {
     EXPECT_EQ(zorder_decode(z), reference_decode(z)) << "z=" << z;
   }

@@ -69,9 +69,9 @@ SCALAR_SEND = re.compile(r"\.\s*send\s*\(")
 PHASE_SCOPE = re.compile(r"\bPhaseScope\b")
 LOOP_HEADER = re.compile(r"^\s*(?:for|while)\s*\(")
 # `std::span<...> name = make_something(...)` — a free call's return value
-# dies at the `;`. Method calls on a named object (`a.coords()`) are the
-# repo's standard safe idiom (a span over the object's own storage) and
-# are not matched, nor are plain `= variable` copies or the direct
+# dies at the `;`. Method calls on a named object (`m.touched_phases()`)
+# are the repo's standard safe idiom (a span over the object's own storage)
+# and are not matched, nor are plain `= variable` copies or the direct
 # constructor form `std::span<...> name(container)`.
 SPAN_OF_TEMPORARY = re.compile(
     r"\bstd::span<[^;{}=]*>\s+\w+\s*=\s*(?!std::span\s*\()"
