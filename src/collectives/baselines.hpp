@@ -53,7 +53,9 @@ template <class T, class Op>
 
 /// The paper's naive baseline: an inclusive scan over a binary summation
 /// tree built on the array order. In row-major layout on a square grid this
-/// costs Theta(n log n) energy (Section IV-C). Requires a power-of-two n.
+/// costs Theta(n log n) energy (Section IV-C). Throws std::invalid_argument,
+/// before charging anything, when the tree's positions (up to the array's
+/// offset plus the power of two covering n) overrun the region.
 ///
 /// Ablation note: run on a *Z-order* array the very same binary tree is
 /// O(n) energy again (level-k edges span ~2^k curve positions, i.e.
@@ -64,9 +66,9 @@ template <class T, class Op>
 template <class T, class Op>
 [[nodiscard]] GridArray<T> tree_scan_1d(Machine& m, const GridArray<T>& a,
                                         Op op) {
-  assert(is_pow2(a.size()));
+  detail::require_scan_tree_fits<1>(a, "tree_scan_1d");
   Machine::PhaseScope scope(m, "tree_scan_1d");
-  GridArray<T> out(a.region(), a.layout(), a.size());
+  GridArray<T> out(a.region(), a.layout(), a.size(), a.offset());
   detail::ScanExec<T, Op, /*kLog2Arity=*/1> exec(m, a, out, op);
   exec.run();
   return out;

@@ -27,8 +27,9 @@
 #include "spatial/grid_array.hpp"
 #include "spatial/machine.hpp"
 
-#include <cassert>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -167,24 +168,37 @@ class ScanExec {
   std::unordered_map<std::uint64_t, Node> nodes_;
 };
 
+/// Throws std::invalid_argument (naming `who`) unless the summation tree
+/// of a 2^kLog2Arity-ary ScanExec over `a` fits in a's region: its nodes
+/// occupy layout positions up to a.offset() plus the smallest power of the
+/// arity covering the array.
+template <int kLog2Arity, class T>
+void require_scan_tree_fits(const GridArray<T>& a, const char* who) {
+  index_t cap = 1;
+  while (cap < a.size()) cap <<= kLog2Arity;
+  if (a.size() > 0 && a.offset() + cap > a.region().size()) {
+    throw std::invalid_argument(
+        std::string(who) +
+        ": the summation tree's positions exceed the array's region");
+  }
+}
+
 }  // namespace detail
 
 /// Inclusive prefix scan of a Z-order array under the associative operator
 /// `op` (Lemma IV.3: O(n) energy, O(log n) depth, O(sqrt n) distance).
 /// Results are returned in an array with the same region and layout; the
 /// i-th result lives at the i-th input's processor.
+/// Throws std::invalid_argument, before charging anything, for a
+/// row-major array or one whose summation tree overruns its region.
 template <class T, class Op>
 [[nodiscard]] GridArray<T> scan(Machine& m, const GridArray<T>& a, Op op) {
-  assert(a.layout() == Layout::kZOrder);
-#ifndef NDEBUG
-  // Summation-tree nodes occupy layout positions up to the smallest power
-  // of four covering the array; they must fit inside the region.
-  index_t cap = 1;
-  while (cap < a.size()) cap <<= 2;
-  assert(a.offset() + cap <= a.region().size());
-#endif
+  if (a.layout() != Layout::kZOrder) {
+    throw std::invalid_argument("scan: the array must be in Z-order");
+  }
+  detail::require_scan_tree_fits<2>(a, "scan");
   Machine::PhaseScope scope(m, "scan");
-  GridArray<T> out(a.region(), a.layout(), a.size());
+  GridArray<T> out(a.region(), a.layout(), a.size(), a.offset());
   detail::ScanExec<T, Op> exec(m, a, out, op);
   exec.run();
   return out;
@@ -201,6 +215,38 @@ template <class T, class Op>
   return scan(m, a, SegOp<Op>{op});
 }
 
+/// The segment heads of a sorted array, for segmented_scan: in one round of
+/// neighbour hand-offs element i receives element i - 1's key and heads a
+/// segment iff the keys differ; element 0 heads when `count` > 0. Only the
+/// first `count` elements take part; the rest neither send, receive nor
+/// head. Each message carries its sender's clock from before the round and
+/// is joined into a[i].clock, so the round adds one level of depth and
+/// O(count) energy. Charges no local ops, opens no phase, and throws
+/// std::invalid_argument unless 0 <= count <= a.size().
+template <class T, class Key>
+[[nodiscard]] std::vector<char> segment_heads(Machine& m, GridArray<T>& a,
+                                              Key key, index_t count) {
+  if (count < 0 || count > a.size()) {
+    throw std::invalid_argument("segment_heads: count outside [0, size]");
+  }
+  std::vector<char> head(static_cast<size_t>(a.size()), 0);
+  if (count == 0) return head;
+  head[0] = 1;
+  std::vector<MessageEvent> batch(static_cast<size_t>(count - 1));
+  for (index_t i = 1; i < count; ++i) {
+    batch[static_cast<size_t>(i - 1)] =
+        MessageEvent{a.coord(i - 1), a.coord(i), 0, a[i - 1].clock, Clock{}};
+  }
+  m.send_bulk(batch);  // bulk-ok: a shift by one, in the caller's phase
+  for (index_t i = 1; i < count; ++i) {
+    a[i].clock =
+        Clock::join(a[i].clock, batch[static_cast<size_t>(i - 1)].arrival);
+    head[static_cast<size_t>(i)] =
+        key(a[i].value) != key(a[i - 1].value) ? 1 : 0;
+  }
+  return head;
+}
+
 /// Exclusive prefix scan: result i combines elements [0, i) and the first
 /// result is `identity`. Implemented as the inclusive scan followed by a
 /// one-hop shift along the Z-order curve, which adds O(n) energy and O(1)
@@ -210,7 +256,7 @@ template <class T, class Op>
                                           Op op, T identity) {
   Machine::PhaseScope scope(m, "exclusive_scan");
   GridArray<T> inclusive = scan(m, a, op);
-  GridArray<T> out(a.region(), a.layout(), a.size());
+  GridArray<T> out(a.region(), a.layout(), a.size(), a.offset());
   if (a.size() == 0) return out;
   out[0] = Cell<T>{identity, Clock{}};
   // The shifts are independent (each reads only the inclusive result), so

@@ -87,27 +87,11 @@ ComponentsResult connected_components(Machine& m, const EdgeList& graph) {
     }
   }
 
-  // Head-segment structure over the by-head order (simultaneous neighbour
-  // hand-offs, O(1) depth).
-  std::vector<char> head_leader(static_cast<size_t>(m_arcs), 0);
-  {
-    std::vector<Clock> before(static_cast<size_t>(m_arcs));
-    for (index_t i = 0; i < m_arcs; ++i) {
-      before[static_cast<size_t>(i)] = by_head[i].clock;
-    }
-    for (index_t i = 0; i < m_arcs; ++i) {
-      if (i == 0) {
-        head_leader[0] = 1;
-        continue;
-      }
-      const Clock arrived = m.send(by_head.coord(i - 1), by_head.coord(i),
-                                   before[static_cast<size_t>(i - 1)]);
-      by_head[i].clock = Clock::join(by_head[i].clock, arrived);
-      m.op();
-      head_leader[static_cast<size_t>(i)] =
-          by_head[i].value.head != by_head[i - 1].value.head ? 1 : 0;
-    }
-  }
+  // Head-segment structure over the by-head order (one round of neighbour
+  // hand-offs, O(1) depth; one comparison each).
+  const std::vector<char> head_leader = segment_heads(
+      m, by_head, [](const Arc& a) { return a.head; }, m_arcs);
+  if (m_arcs > 1) m.op(m_arcs - 1);
   std::vector<char> tail_leader(static_cast<size_t>(m_arcs), 0);
   for (index_t i = 0; i < m_arcs; ++i) {
     tail_leader[static_cast<size_t>(i)] =

@@ -39,32 +39,18 @@ struct ProcLess {
   }
 };
 
-/// Neighbour hand-off leader detection: sorted position j learns position
-/// j-1's cell with one message and becomes a leader when the cells differ.
-/// All hand-offs happen simultaneously (each processor forwards the value
-/// it held *before* this round), so the clocks are snapshot first — the
-/// step adds O(1) depth, not a chain.
+/// Segment heads over the non-sentinel prefix (sentinel tuples sort
+/// last): one round of neighbour hand-offs, one comparison per hand-off.
 std::vector<char> detect_leaders(Machine& machine,
                                  GridArray<AccessTuple>& sorted,
                                  index_t sentinel) {
-  const index_t n = sorted.size();
-  std::vector<Clock> before(static_cast<size_t>(n));
-  for (index_t j = 0; j < n; ++j) before[static_cast<size_t>(j)] =
-      sorted[j].clock;
-  std::vector<char> leader(static_cast<size_t>(n), 0);
-  for (index_t j = 0; j < n; ++j) {
-    if (sorted[j].value.cell == sentinel) continue;
-    if (j == 0) {
-      leader[0] = 1;
-      continue;
-    }
-    const Clock arrived = machine.send(sorted.coord(j - 1), sorted.coord(j),
-                                       before[static_cast<size_t>(j - 1)]);
-    sorted[j].clock = Clock::join(sorted[j].clock, arrived);
-    machine.op();
-    leader[static_cast<size_t>(j)] =
-        sorted[j].value.cell != sorted[j - 1].value.cell ? 1 : 0;
+  index_t count = 0;
+  while (count < sorted.size() && sorted[count].value.cell != sentinel) {
+    ++count;
   }
+  std::vector<char> leader = segment_heads(
+      machine, sorted, [](const AccessTuple& t) { return t.cell; }, count);
+  if (count > 1) machine.op(count - 1);
   return leader;
 }
 

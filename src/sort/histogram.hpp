@@ -13,16 +13,36 @@
 #include "spatial/grid_array.hpp"
 #include "spatial/machine.hpp"
 
-#include <cassert>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace scm {
 
+namespace detail {
+
+/// Throws std::invalid_argument (naming `who`) unless every key lies in
+/// [0, buckets).
+inline void require_keys_in_range(const GridArray<index_t>& keys,
+                                  index_t buckets, const char* who) {
+  for (index_t i = 0; i < keys.size(); ++i) {
+    if (keys[i].value < 0 || keys[i].value >= buckets) {
+      throw std::invalid_argument(std::string(who) +
+                                  ": key outside [0, buckets)");
+    }
+  }
+}
+
+}  // namespace detail
+
 /// Computes the histogram of integer keys in [0, buckets): bucket b of the
 /// returned row-major array holds the number of occurrences of key b,
-/// delivered to a bucket subgrid right of the input's region.
+/// delivered to a bucket subgrid right of the input's region. Throws
+/// std::invalid_argument, before charging anything, for a key outside
+/// [0, buckets).
 [[nodiscard]] inline GridArray<index_t> histogram(
     Machine& m, const GridArray<index_t>& keys, index_t buckets) {
+  detail::require_keys_in_range(keys, buckets, "histogram");
   Machine::PhaseScope scope(m, "histogram");
   const index_t n = keys.size();
   const Rect bucket_rect =
@@ -33,32 +53,13 @@ namespace scm {
   for (index_t b = 0; b < buckets; ++b) counts[b].value = 0;
   if (n == 0) return counts;
 
-#ifndef NDEBUG
-  for (index_t i = 0; i < n; ++i) {
-    assert(keys[i].value >= 0 && keys[i].value < buckets);
-  }
-#endif
-
   // Sort the keys (stable, distinct ranks via ids internally).
   GridArray<index_t> sorted = mergesort2d(m, keys);
 
-  // Segment heads via simultaneous neighbour hand-offs.
-  std::vector<char> head(static_cast<size_t>(n), 0);
-  std::vector<Clock> before(static_cast<size_t>(n));
-  for (index_t i = 0; i < n; ++i) before[static_cast<size_t>(i)] =
-      sorted[i].clock;
-  for (index_t i = 0; i < n; ++i) {
-    if (i == 0) {
-      head[0] = 1;
-      continue;
-    }
-    const Clock arrived = m.send(sorted.coord(i - 1), sorted.coord(i),
-                                 before[static_cast<size_t>(i - 1)]);
-    sorted[i].clock = Clock::join(sorted[i].clock, arrived);
-    m.op();
-    head[static_cast<size_t>(i)] =
-        sorted[i].value != sorted[i - 1].value ? 1 : 0;
-  }
+  // Segment heads: one comparison per neighbour hand-off.
+  const std::vector<char> head =
+      segment_heads(m, sorted, [](index_t key) { return key; }, n);
+  if (n > 1) m.op(n - 1);
 
   // Segmented count: scan ones per segment; the run's last element holds
   // the count and delivers (key, count) to its bucket.
@@ -85,16 +86,12 @@ namespace scm {
 /// Counting sort for integer keys in [0, buckets): sorts via the histogram
 /// pipeline's stable mergesort (the histogram itself is the by-product
 /// most callers want; the sort result is returned for completeness).
+/// Throws std::invalid_argument, before charging anything, for a key
+/// outside [0, buckets).
 [[nodiscard]] inline GridArray<index_t> counting_sort(
     Machine& m, const GridArray<index_t>& keys, index_t buckets) {
+  detail::require_keys_in_range(keys, buckets, "counting_sort");
   Machine::PhaseScope scope(m, "counting_sort");
-#ifndef NDEBUG
-  for (index_t i = 0; i < keys.size(); ++i) {
-    assert(keys[i].value >= 0 && keys[i].value < buckets);
-  }
-#else
-  (void)buckets;
-#endif
   return mergesort2d(m, keys);
 }
 

@@ -19,6 +19,20 @@ struct Triple {
   friend bool operator==(const Triple&, const Triple&) = default;
 };
 
+/// The two triple orders of the direct SpMV (Theorem VIII.2): by column,
+/// to fetch x, then by row, to sum.
+struct TripleByCol {
+  bool operator()(const Triple& a, const Triple& b) const {
+    return a.col < b.col;
+  }
+};
+
+struct TripleByRow {
+  bool operator()(const Triple& a, const Triple& b) const {
+    return a.row < b.row;
+  }
+};
+
 /// An n_rows x n_cols sparse matrix as an unordered list of non-zeros.
 class CooMatrix {
  public:

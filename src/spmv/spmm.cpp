@@ -6,51 +6,10 @@
 #include "spatial/zorder.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <numeric>
 #include <stdexcept>
 
 namespace scm {
-
-namespace {
-
-struct ByCol {
-  bool operator()(const Triple& a, const Triple& b) const {
-    return a.col < b.col;
-  }
-};
-
-struct ByRow {
-  bool operator()(const Triple& a, const Triple& b) const {
-    return a.row < b.row;
-  }
-};
-
-std::vector<char> simultaneous_leaders(Machine& m, GridArray<Triple>& sorted,
-                                       bool by_row) {
-  const index_t n = sorted.size();
-  std::vector<Clock> before(static_cast<size_t>(n));
-  for (index_t i = 0; i < n; ++i) before[static_cast<size_t>(i)] =
-      sorted[i].clock;
-  std::vector<char> leader(static_cast<size_t>(n), 0);
-  for (index_t i = 0; i < n; ++i) {
-    if (i == 0) {
-      leader[0] = 1;
-      continue;
-    }
-    const Clock arrived = m.send(sorted.coord(i - 1), sorted.coord(i),
-                                 before[static_cast<size_t>(i - 1)]);
-    sorted[i].clock = Clock::join(sorted[i].clock, arrived);
-    m.op();
-    const bool same = by_row
-                          ? sorted[i].value.row == sorted[i - 1].value.row
-                          : sorted[i].value.col == sorted[i - 1].value.col;
-    leader[static_cast<size_t>(i)] = same ? 0 : 1;
-  }
-  return leader;
-}
-
-}  // namespace
 
 std::vector<std::vector<double>> spmv_multi(
     Machine& machine, const CooMatrix& a,
@@ -75,13 +34,14 @@ std::vector<std::vector<double>> spmv_multi(
       {0, 0}, a.entries(), Layout::kZOrder);
 
   // --- paid once: structure sorts, leader flags, routing permutation ---
-  GridArray<Triple> by_col = mergesort2d(machine, triples, ByCol{});
-  std::vector<char> col_leader =
-      simultaneous_leaders(machine, by_col, /*by_row=*/false);
+  GridArray<Triple> by_col = mergesort2d(machine, triples, TripleByCol{});
+  const std::vector<char> col_leader = segment_heads(
+      machine, by_col, [](const Triple& t) { return t.col; }, m);
+  if (m > 1) machine.op(m - 1);
   GridArray<Triple> by_col_z = route_permutation(
       machine, by_col, by_col.region(), Layout::kZOrder);
 
-  GridArray<Triple> by_row = mergesort2d(machine, by_col_z, ByRow{});
+  GridArray<Triple> by_row = mergesort2d(machine, by_col_z, TripleByRow{});
   GridArray<Triple> by_row_z = route_permutation(
       machine, by_row, by_row.region(), Layout::kZOrder);
   std::vector<char> row_leader(static_cast<size_t>(m), 0);

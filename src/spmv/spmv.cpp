@@ -4,54 +4,9 @@
 #include "sort/mergesort2d.hpp"
 #include "spatial/zorder.hpp"
 
-#include <cassert>
 #include <stdexcept>
 
 namespace scm {
-
-namespace {
-
-struct ByCol {
-  bool operator()(const Triple& a, const Triple& b) const {
-    return a.col < b.col;
-  }
-};
-
-struct ByRow {
-  bool operator()(const Triple& a, const Triple& b) const {
-    return a.row < b.row;
-  }
-};
-
-/// Neighbour hand-off leader detection over a sorted triple array: entry j
-/// learns entry j-1's key with one message and leads iff the keys differ.
-/// Hand-offs are simultaneous (each entry forwards its pre-round clock),
-/// adding O(1) depth.
-template <class KeyOf>
-std::vector<char> detect_leaders(Machine& m, GridArray<Triple>& sorted,
-                                 KeyOf key) {
-  const index_t n = sorted.size();
-  std::vector<Clock> before(static_cast<size_t>(n));
-  for (index_t j = 0; j < n; ++j) {
-    before[static_cast<size_t>(j)] = sorted[j].clock;
-  }
-  std::vector<char> leader(static_cast<size_t>(n), 0);
-  for (index_t j = 0; j < n; ++j) {
-    if (j == 0) {
-      leader[0] = 1;
-      continue;
-    }
-    const Clock arrived = m.send(sorted.coord(j - 1), sorted.coord(j),
-                                 before[static_cast<size_t>(j - 1)]);
-    sorted[j].clock = Clock::join(sorted[j].clock, arrived);
-    m.op();
-    leader[static_cast<size_t>(j)] =
-        key(sorted[j].value) != key(sorted[j - 1].value) ? 1 : 0;
-  }
-  return leader;
-}
-
-}  // namespace
 
 SpmvResult spmv(Machine& machine, const CooMatrix& a,
                 const std::vector<double>& x) {
@@ -80,11 +35,12 @@ SpmvResult spmv(Machine& machine, const CooMatrix& a,
       {0, 0}, a.entries(), Layout::kZOrder);
 
   // Step 1: sort by column index.
-  GridArray<Triple> by_col = mergesort2d(machine, triples, ByCol{});
+  GridArray<Triple> by_col = mergesort2d(machine, triples, TripleByCol{});
 
-  // Step 2: column leaders.
-  std::vector<char> col_leader =
-      detect_leaders(machine, by_col, [](const Triple& t) { return t.col; });
+  // Step 2: column leaders, one comparison per neighbour hand-off.
+  const std::vector<char> col_leader = segment_heads(
+      machine, by_col, [](const Triple& t) { return t.col; }, m);
+  if (m > 1) machine.op(m - 1);
 
   // Step 3: leaders fetch x_j; segmented broadcast along the segments.
   for (index_t j = 0; j < m; ++j) {
@@ -121,11 +77,12 @@ SpmvResult spmv(Machine& machine, const CooMatrix& a,
   }
 
   // Step 5: sort the partial products by row index.
-  GridArray<Triple> by_row = mergesort2d(machine, products, ByRow{});
+  GridArray<Triple> by_row = mergesort2d(machine, products, TripleByRow{});
 
   // Step 6: row leaders.
-  std::vector<char> row_leader =
-      detect_leaders(machine, by_row, [](const Triple& t) { return t.row; });
+  const std::vector<char> row_leader = segment_heads(
+      machine, by_row, [](const Triple& t) { return t.row; }, m);
+  if (m > 1) machine.op(m - 1);
 
   // Step 7: segmented sum per row; the segment's last entry hands the row
   // total to the row leader, which delivers it to the output subgrid.

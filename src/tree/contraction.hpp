@@ -35,10 +35,10 @@
 
 #include "collectives/operators.hpp"
 #include "collectives/scan.hpp"
-#include "sort/mergesort2d.hpp"
 #include "spatial/grid_array.hpp"
 #include "spatial/machine.hpp"
 #include "spatial/zorder.hpp"
+#include "tree/euler.hpp"
 #include "tree/tree.hpp"
 
 #include <cassert>
@@ -156,29 +156,8 @@ template <class T, class Op>
                         std::vector<index_t>(static_cast<size_t>(n), 0)};
   if (n == 1) return out;
 
-  struct SortArc {
-    index_t from{0};
-    index_t to{0};
-    index_t seq{0};
-  };
-  struct ByFromSeq {
-    bool operator()(const SortArc& a, const SortArc& b) const {
-      if (a.from != b.from) return a.from < b.from;
-      return a.seq < b.seq;
-    }
-  };
-
   // ---- setup: one arc sort fixes the segment structure for all rounds.
-  std::vector<SortArc> arcs;
-  arcs.reserve(static_cast<size_t>(m_arcs));
-  for (size_t e = 0; e < t.edges.size(); ++e) {
-    const auto& [u, v] = t.edges[e];
-    arcs.push_back(SortArc{u, v, static_cast<index_t>(2 * e)});
-    arcs.push_back(SortArc{v, u, static_cast<index_t>(2 * e + 1)});
-  }
-  GridArray<SortArc> grid =
-      GridArray<SortArc>::from_values_square(origin, arcs, Layout::kZOrder);
-  GridArray<SortArc> by = mergesort2d(m, grid, ByFromSeq{});
+  auto [by, twin_pos] = detail::sort_arcs(m, t, origin);
 
   const index_t arc_side = by.region().rows;
   const Coord vert_origin{origin.row, origin.col + arc_side};
@@ -186,15 +165,6 @@ template <class T, class Op>
       square_at(vert_origin, square_side_for(n)), Layout::kRowMajor, values);
 
   // Host routing bookkeeping over the sorted order (components.cpp idiom).
-  std::vector<index_t> pos_of_seq(static_cast<size_t>(m_arcs));
-  for (index_t i = 0; i < m_arcs; ++i) {
-    pos_of_seq[static_cast<size_t>(by[i].value.seq)] = i;
-  }
-  std::vector<index_t> twin_pos(static_cast<size_t>(m_arcs));
-  for (index_t i = 0; i < m_arcs; ++i) {
-    twin_pos[static_cast<size_t>(i)] =
-        pos_of_seq[static_cast<size_t>(by[i].value.seq ^ 1)];
-  }
   std::vector<index_t> seg_lo(static_cast<size_t>(n), -1);
   std::vector<index_t> seg_hi(static_cast<size_t>(n), -1);
   for (index_t i = 0; i < m_arcs; ++i) {
@@ -204,27 +174,11 @@ template <class T, class Op>
   }
 
   // Leader flags via simultaneous forward hand-offs (charged once).
-  std::vector<char> leader(static_cast<size_t>(m_arcs), 0);
+  std::vector<char> leader;
   {
     Machine::PhaseScope seg(m, "tree_contract/setup");
-    std::vector<Clock> before(static_cast<size_t>(m_arcs));
-    for (index_t i = 0; i < m_arcs; ++i) {
-      before[static_cast<size_t>(i)] = by[i].clock;
-    }
-    std::vector<MessageEvent> fwd(static_cast<size_t>(m_arcs - 1));
-    for (index_t i = 1; i < m_arcs; ++i) {
-      fwd[static_cast<size_t>(i - 1)] =
-          MessageEvent{by.coord(i - 1), by.coord(i), 0,
-                       before[static_cast<size_t>(i - 1)], Clock{}};
-    }
-    m.send_bulk(fwd);  // bulk-ok: distinct destinations (a shift by one)
-    leader[0] = 1;
-    for (index_t i = 1; i < m_arcs; ++i) {
-      by[i].clock =
-          Clock::join(by[i].clock, fwd[static_cast<size_t>(i - 1)].arrival);
-      leader[static_cast<size_t>(i)] =
-          by[i].value.from != by[i - 1].value.from ? 1 : 0;
-    }
+    leader = segment_heads(
+        m, by, [](const detail::SortArc& a) { return a.from; }, m_arcs);
     m.op_bulk(m_arcs);
   }
 

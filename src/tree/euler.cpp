@@ -13,15 +13,8 @@ namespace scm::tree {
 
 namespace {
 
-/// One directed arc of the doubled edge list, before ranking.
-struct SortArc {
-  index_t from{0};
-  index_t to{0};
-  index_t seq{0};  ///< arc id: 2e for (u,v), 2e+1 for (v,u)
-};
-
 struct ByFromSeq {
-  bool operator()(const SortArc& a, const SortArc& b) const {
+  bool operator()(const detail::SortArc& a, const detail::SortArc& b) const {
     if (a.from != b.from) return a.from < b.from;
     return a.seq < b.seq;
   }
@@ -30,6 +23,34 @@ struct ByFromSeq {
 constexpr index_t kNil = -1;
 
 }  // namespace
+
+detail::SortedArcs detail::sort_arcs(Machine& m, const DenseTree& t,
+                                     Coord origin) {
+  const index_t m_arcs = 2 * (t.n - 1);
+  std::vector<SortArc> arcs;
+  arcs.reserve(static_cast<size_t>(m_arcs));
+  for (size_t e = 0; e < t.edges.size(); ++e) {
+    const auto& [u, v] = t.edges[e];
+    arcs.push_back(SortArc{u, v, static_cast<index_t>(2 * e)});
+    arcs.push_back(SortArc{v, u, static_cast<index_t>(2 * e + 1)});
+  }
+  GridArray<SortArc> grid =
+      GridArray<SortArc>::from_values_square(origin, arcs, Layout::kZOrder);
+  SortedArcs out{mergesort2d(m, grid, ByFromSeq{}),
+                 std::vector<index_t>(static_cast<size_t>(m_arcs))};
+
+  // Host-side routing bookkeeping: the sorted order is fixed by the sort;
+  // re-deriving positions from it is local (graph/components.cpp idiom).
+  std::vector<index_t> pos_of_seq(static_cast<size_t>(m_arcs));
+  for (index_t i = 0; i < m_arcs; ++i) {
+    pos_of_seq[static_cast<size_t>(out.by[i].value.seq)] = i;
+  }
+  for (index_t i = 0; i < m_arcs; ++i) {
+    out.twin_pos[static_cast<size_t>(i)] =
+        pos_of_seq[static_cast<size_t>(out.by[i].value.seq ^ 1)];
+  }
+  return out;
+}
 
 EulerTour euler_tour(Machine& m, const DenseTree& t, Coord origin) {
   Machine::PhaseScope scope(m, "euler_tour");
@@ -57,57 +78,19 @@ EulerTour euler_tour(Machine& m, const DenseTree& t, Coord origin) {
   if (n == 1) return out;
 
   // ---- 1. sort: arcs by (head, arc id) on the square at `origin`.
-  std::vector<SortArc> arcs;
-  arcs.reserve(static_cast<size_t>(m_arcs));
-  for (size_t e = 0; e < t.edges.size(); ++e) {
-    const auto& [u, v] = t.edges[e];
-    arcs.push_back(SortArc{u, v, static_cast<index_t>(2 * e)});
-    arcs.push_back(SortArc{v, u, static_cast<index_t>(2 * e + 1)});
-  }
-  GridArray<SortArc> grid =
-      GridArray<SortArc>::from_values_square(origin, arcs, Layout::kZOrder);
-  GridArray<SortArc> by = mergesort2d(m, grid, ByFromSeq{});
-
-  // Host-side routing bookkeeping: the sorted order is fixed by the sort;
-  // re-deriving positions from it is local (graph/components.cpp idiom).
-  std::vector<index_t> pos_of_seq(static_cast<size_t>(m_arcs));
-  for (index_t i = 0; i < m_arcs; ++i) {
-    pos_of_seq[static_cast<size_t>(by[i].value.seq)] = i;
-  }
-  std::vector<index_t> twin_pos(static_cast<size_t>(m_arcs));
-  for (index_t i = 0; i < m_arcs; ++i) {
-    twin_pos[static_cast<size_t>(i)] =
-        pos_of_seq[static_cast<size_t>(by[i].value.seq ^ 1)];
-  }
+  auto [by, twin_pos] = detail::sort_arcs(m, t, origin);
 
   // ---- 2. segments: leader flags by simultaneous forward hand-offs,
   // next-in-segment flags by the backward hand-offs, segment start
   // positions by a segmented First broadcast of the leader's position.
-  std::vector<char> leader(static_cast<size_t>(m_arcs), 0);
   std::vector<char> next_same(static_cast<size_t>(m_arcs), 0);
   std::vector<index_t> seg_lo(static_cast<size_t>(m_arcs), 0);
   {
     Machine::PhaseScope seg(m, "euler_tour/segments");
-    std::vector<Clock> before(static_cast<size_t>(m_arcs));
-    for (index_t i = 0; i < m_arcs; ++i) before[static_cast<size_t>(i)] = by[i].clock;
     // Forward: cell i learns whether it starts a segment.
-    {
-      std::vector<MessageEvent> fwd(static_cast<size_t>(m_arcs - 1));
-      for (index_t i = 1; i < m_arcs; ++i) {
-        fwd[static_cast<size_t>(i - 1)] =
-            MessageEvent{by.coord(i - 1), by.coord(i), 0,
-                         before[static_cast<size_t>(i - 1)], Clock{}};
-      }
-      m.send_bulk(fwd);  // bulk-ok: distinct destinations (a shift by one)
-      leader[0] = 1;
-      for (index_t i = 1; i < m_arcs; ++i) {
-        by[i].clock = Clock::join(by[i].clock,
-                                  fwd[static_cast<size_t>(i - 1)].arrival);
-        leader[static_cast<size_t>(i)] =
-            by[i].value.from != by[i - 1].value.from ? 1 : 0;
-      }
-      m.op_bulk(m_arcs);
-    }
+    const std::vector<char> leader = segment_heads(
+        m, by, [](const detail::SortArc& a) { return a.from; }, m_arcs);
+    m.op_bulk(m_arcs);
     // Backward: cell i learns whether i + 1 continues its segment.
     {
       std::vector<MessageEvent> bwd(static_cast<size_t>(m_arcs - 1));

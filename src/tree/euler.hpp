@@ -79,4 +79,29 @@ struct EulerTour {
 [[nodiscard]] EulerTour euler_tour(Machine& m, const DenseTree& t,
                                    Coord origin);
 
+namespace detail {
+
+/// One directed arc of the doubled edge list, before ranking.
+struct SortArc {
+  index_t from{0};
+  index_t to{0};
+  index_t seq{0};  ///< arc id: 2e for (u,v), 2e+1 for (v,u)
+};
+
+/// The arcs in (from, seq) order, so each vertex's arcs form one
+/// contiguous segment, and the sorted position of each arc's twin.
+struct SortedArcs {
+  GridArray<SortArc> by;
+  std::vector<index_t> twin_pos;
+};
+
+/// The one arc sort of the tree tier (euler_tour, tree_contract): the
+/// 2(n-1) arcs of `t` (n >= 2) on the Z-order square at `origin`, one
+/// mergesort2d by (from, seq), and the twin positions derived host-side
+/// from the sorted order. Opens no phase of its own.
+[[nodiscard]] SortedArcs sort_arcs(Machine& m, const DenseTree& t,
+                                   Coord origin);
+
+}  // namespace detail
+
 }  // namespace scm::tree

@@ -190,22 +190,7 @@ LcaResult lca(Machine& m, const DenseTree& t, const EulerTour& tour,
   // and stores it via `slot`. One request/reply pair per distinct key.
   auto fetch_occurrence = [&](GridArray<Query>& arr, auto key, auto slot) {
     Machine::PhaseScope ep(m, "tree_lca/endpoints");
-    std::vector<char> leader(static_cast<size_t>(q), 0);
-    leader[0] = 1;
-    if (q > 1) {
-      std::vector<MessageEvent> fwd(static_cast<size_t>(q - 1));
-      for (index_t i = 1; i < q; ++i) {
-        fwd[static_cast<size_t>(i - 1)] = MessageEvent{
-            arr.coord(i - 1), arr.coord(i), 0, arr[i - 1].clock, Clock{}};
-      }
-      m.send_bulk(fwd);  // bulk-ok: a shift by one
-      for (index_t i = 1; i < q; ++i) {
-        arr[i].clock =
-            Clock::join(arr[i].clock, fwd[static_cast<size_t>(i - 1)].arrival);
-        leader[static_cast<size_t>(i)] =
-            key(arr[i].value) != key(arr[i - 1].value) ? 1 : 0;
-      }
-    }
+    const std::vector<char> leader = segment_heads(m, arr, key, q);
     // Request/reply across the vertex square (distinct keys => distinct
     // vertex cells in each batch).
     std::vector<MessageEvent> req;

@@ -16,10 +16,15 @@
 
 #include "collectives/baselines.hpp"
 #include "collectives/scan.hpp"
+#include "graph/components.hpp"
+#include "pram/crcw.hpp"
+#include "pram/programs.hpp"
 #include "select/select.hpp"
+#include "sort/histogram.hpp"
 #include "sort/sort.hpp"
 #include "spatial/rng.hpp"
 #include "spmv/generators.hpp"
+#include "spmv/spmm.hpp"
 #include "spmv/spmv.hpp"
 
 #include <gtest/gtest.h>
@@ -113,6 +118,44 @@ TEST(BulkEquivalence, Spmv) {
   const CooMatrix mat = random_uniform_matrix(64, 128, 2);
   const auto x = random_doubles(6, 64);
   expect_ab_ok([&](Machine& m) { (void)spmv(m, mat, x); });
+}
+
+// The four callers below hand off their segment heads in one bulk round.
+
+TEST(BulkEquivalence, SpmvMulti) {
+  const CooMatrix mat = random_uniform_matrix(64, 128, 3);
+  const std::vector<std::vector<double>> xs{random_doubles(9, 64),
+                                            random_doubles(10, 64)};
+  expect_ab_ok([&](Machine& m) { (void)spmv_multi(m, mat, xs); });
+}
+
+TEST(BulkEquivalence, SimulateCrcw) {
+  expect_ab_ok([](Machine& m) {
+    (void)pram::simulate_crcw(m, pram::BroadcastReadProgram(32),
+                              std::vector<pram::Word>(33, 1.5));
+    (void)pram::simulate_crcw(m, pram::CommonWriteProgram(32),
+                              std::vector<pram::Word>(1));
+    (void)pram::simulate_crcw(m, pram::HillisSteeleScanProgram(32),
+                              random_doubles(11, 32));
+  });
+}
+
+TEST(BulkEquivalence, Histogram) {
+  const auto keys = random_ints(12, 200, 0, 15);
+  const std::vector<index_t> v(keys.begin(), keys.end());
+  expect_ab_ok([&](Machine& m) {
+    auto a =
+        GridArray<index_t>::from_values_square({0, 0}, v, Layout::kRowMajor);
+    (void)histogram(m, a, 16);
+  });
+}
+
+TEST(BulkEquivalence, ConnectedComponents) {
+  graph::EdgeList g{64, {}};
+  for (index_t k = 0; k < 48; ++k) {
+    g.edges.emplace_back((k * 7) % 64, (k * 13 + 5) % 64);
+  }
+  expect_ab_ok([&](Machine& m) { (void)graph::connected_components(m, g); });
 }
 
 TEST(BulkEquivalence, BinomialBaselines) {

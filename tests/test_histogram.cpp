@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+
 namespace scm {
 namespace {
 
@@ -53,6 +56,21 @@ TEST(Histogram, BucketGridSitsRightOfTheInput) {
       {0, 0}, std::vector<index_t>{0, 1, 2, 3});
   GridArray<index_t> counts = histogram(m, a, 4);
   EXPECT_GE(counts.region().col0, a.region().col0 + a.region().cols);
+}
+
+TEST(Histogram, RejectsAKeyOutsideTheBuckets) {
+  // Key 9 of 4 buckets would index past the bucket array; the refusal
+  // comes before anything is charged.
+  const auto a = GridArray<index_t>::from_values_square(
+      {0, 0}, std::vector<index_t>{1, 9, 2, 9});
+  const auto neg = GridArray<index_t>::from_values_square(
+      {0, 0}, std::vector<index_t>{1, -1});
+  Machine m;
+  EXPECT_THROW((void)histogram(m, a, 4), std::invalid_argument);
+  EXPECT_THROW((void)histogram(m, neg, 4), std::invalid_argument);
+  EXPECT_THROW((void)counting_sort(m, a, 4), std::invalid_argument);
+  EXPECT_EQ(m.metrics(), Metrics{});
+  EXPECT_TRUE(m.phases().empty());
 }
 
 TEST(CountingSort, SortsSmallIntegerKeys) {

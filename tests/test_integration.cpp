@@ -7,6 +7,9 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace scm {
 namespace {
@@ -109,6 +112,176 @@ TEST(Integration, SegmentedScanDrivesSegmentedBroadcast) {
   for (index_t i = 0; i < out.size(); ++i) {
     EXPECT_EQ(out[i].value.value, static_cast<double>((i / 10) * 10));
   }
+}
+
+// ---- Pinned costs of the sort -> segment heads -> segmented scan callers ---
+//
+// Totals and every per-phase record (cost_report) of spmv, spmv_multi,
+// simulate_crcw, histogram and connected_components, pinned exactly. No
+// golden artifact runs these five callers, so these pins hold a change to
+// their shared steps to the same numbers. Inputs come from formulas, not
+// std:: distributions, whose output varies between standard libraries.
+
+/// A 24 x 20 matrix with repeated rows and columns.
+CooMatrix pinned_matrix() {
+  CooMatrix a(24, 20);
+  for (index_t k = 0; k < 90; ++k) {
+    a.add((k * 7 + k / 5) % 24, (k * 11 + 3) % 20,
+          0.25 * static_cast<double>(k % 9) - 1.0);
+  }
+  return a;
+}
+
+std::vector<double> pinned_vector(index_t n, index_t salt) {
+  std::vector<double> x(static_cast<size_t>(n));
+  for (index_t j = 0; j < n; ++j) {
+    x[static_cast<size_t>(j)] = 0.5 * static_cast<double>((j * salt) % 13);
+  }
+  return x;
+}
+
+/// cost_report after a newline, to compare with a raw-string table.
+std::string report(const Machine& m) { return "\n" + cost_report(m); }
+
+std::string crcw_report(const pram::Program& prog,
+                        std::vector<pram::Word> mem) {
+  Machine m;
+  (void)pram::simulate_crcw(m, prog, std::move(mem));
+  return report(m);
+}
+
+TEST(PinnedCosts, Spmv) {
+  Machine m;
+  (void)spmv(m, pinned_matrix(), pinned_vector(20, 3));
+  EXPECT_EQ(report(m), R"(
+total: energy=20105 messages=7183 ops=3951 depth=356 distance=1574
+  allpairs_sort: energy=2172 messages=1175 ops=644 depth=319 distance=1365
+  broadcast: energy=2736 messages=1667 ops=0 depth=337 distance=1478
+  merge2d: energy=15071 messages=5903 ops=2373 depth=340 distance=1487
+  merge2d/base: energy=3082 messages=1608 ops=1006 depth=340 distance=1487
+  mergesort2d: energy=16807 messages=6343 ops=2913 depth=341 distance=1500
+  rank_select_two_sorted: energy=7541 messages=2707 ops=1547 depth=333 distance=1459
+  reduce: energy=322 messages=266 ops=266 depth=318 distance=1363
+  scan: energy=766 messages=430 ops=590 depth=356 distance=1548
+  segmented_scan: energy=766 messages=430 ops=590 depth=356 distance=1548
+  spmv: energy=20105 messages=7183 ops=3951 depth=356 distance=1574
+)");
+}
+
+TEST(PinnedCosts, SpmvMulti) {
+  Machine m;
+  (void)spmv_multi(m, pinned_matrix(),
+                   {pinned_vector(20, 3), pinned_vector(20, 5)});
+  EXPECT_EQ(report(m), R"(
+total: energy=22471 messages=7724 ops=4542 depth=330 distance=1455
+  allpairs_sort: energy=2172 messages=1175 ops=644 depth=307 distance=1305
+  broadcast: energy=2736 messages=1667 ops=0 depth=325 distance=1418
+  merge2d: energy=15071 messages=5903 ops=2373 depth=328 distance=1427
+  merge2d/base: energy=3082 messages=1608 ops=1006 depth=328 distance=1427
+  mergesort2d: energy=16807 messages=6343 ops=2913 depth=329 distance=1440
+  rank_select_two_sorted: energy=7541 messages=2707 ops=1547 depth=321 distance=1399
+  reduce: energy=322 messages=266 ops=266 depth=306 distance=1303
+  scan: energy=1532 messages=860 ops=1180 depth=195 distance=872
+  segmented_scan: energy=1532 messages=860 ops=1180 depth=195 distance=872
+  spmv_multi: energy=22471 messages=7724 ops=4542 depth=330 distance=1455
+)");
+}
+
+TEST(PinnedCosts, SimulateCrcw) {
+  EXPECT_EQ(crcw_report(pram::BroadcastReadProgram(16),
+                        std::vector<pram::Word>(17, 2.0)),
+            R"(
+total: energy=1064 messages=521 ops=422 depth=75 distance=182
+  allpairs_sort: energy=48 messages=36 ops=18 depth=60 distance=133
+  broadcast: energy=96 messages=63 ops=0 depth=70 distance=162
+  merge2d: energy=627 messages=327 ops=168 depth=72 distance=166
+  merge2d/base: energy=384 messages=228 ops=144 depth=72 distance=166
+  mergesort2d: energy=795 messages=423 ops=312 depth=73 distance=168
+  pram_crcw: energy=1064 messages=521 ops=422 depth=75 distance=182
+  rank_select_two_sorted: energy=267 messages=126 ops=72 depth=68 distance=156
+  reduce: energy=6 messages=6 ops=6 depth=59 distance=132
+  scan: energy=55 messages=34 ops=48 depth=30 distance=66
+  segmented_scan: energy=55 messages=34 ops=48 depth=30 distance=66
+)");
+  EXPECT_EQ(
+      crcw_report(pram::CommonWriteProgram(16), std::vector<pram::Word>(1)),
+      R"(
+total: energy=926 messages=489 ops=407 depth=73 distance=169
+  allpairs_sort: energy=48 messages=36 ops=18 depth=59 distance=131
+  broadcast: energy=96 messages=63 ops=0 depth=69 distance=160
+  merge2d: energy=627 messages=327 ops=168 depth=71 distance=164
+  merge2d/base: energy=384 messages=228 ops=144 depth=71 distance=164
+  mergesort2d: energy=795 messages=423 ops=312 depth=72 distance=166
+  pram_crcw: energy=926 messages=489 ops=407 depth=73 distance=169
+  rank_select_two_sorted: energy=267 messages=126 ops=72 depth=67 distance=154
+  reduce: energy=6 messages=6 ops=6 depth=58 distance=130
+  scan: energy=55 messages=34 ops=48 depth=29 distance=64
+  segmented_scan: energy=55 messages=34 ops=48 depth=29 distance=64
+)");
+  std::vector<pram::Word> scan_mem(16);
+  for (index_t i = 0; i < 16; ++i) {
+    scan_mem[static_cast<size_t>(i)] = static_cast<pram::Word>((i * 5) % 7);
+  }
+  EXPECT_EQ(crcw_report(pram::HillisSteeleScanProgram(16), scan_mem),
+            R"(
+total: energy=5742 messages=2787 ops=2056 depth=323 distance=753
+  allpairs_sort: energy=252 messages=186 ops=90 depth=303 distance=696
+  broadcast: energy=480 messages=315 ops=0 depth=317 distance=736
+  merge2d: energy=3459 messages=1773 ops=831 depth=320 distance=742
+  merge2d/base: energy=1920 messages=1140 ops=720 depth=320 distance=742
+  mergesort2d: energy=4299 messages=2253 ops=1551 depth=321 distance=744
+  pram_crcw: energy=5742 messages=2787 ops=2056 depth=323 distance=753
+  rank_select_two_sorted: energy=1383 messages=642 ops=351 depth=315 distance=730
+  reduce: energy=30 messages=30 ops=30 depth=302 distance=694
+  scan: energy=275 messages=170 ops=240 depth=268 distance=616
+  segmented_scan: energy=275 messages=170 ops=240 depth=268 distance=616
+)");
+}
+
+TEST(PinnedCosts, Histogram) {
+  std::vector<index_t> keys(60);
+  for (index_t i = 0; i < 60; ++i) {
+    keys[static_cast<size_t>(i)] = (i * 5 + i / 7) % 9;
+  }
+  const auto a =
+      GridArray<index_t>::from_values_square({0, 0}, keys, Layout::kRowMajor);
+  Machine m;
+  (void)histogram(m, a, 9);
+  EXPECT_EQ(report(m), R"(
+total: energy=5317 messages=2193 ops=1248 depth=120 distance=441
+  allpairs_sort: energy=818 messages=421 ops=233 depth=85 distance=332
+  broadcast: energy=730 messages=452 ops=0 depth=103 distance=385
+  histogram: energy=5317 messages=2193 ops=1248 depth=120 distance=441
+  merge2d: energy=4214 messages=1735 ops=755 depth=105 distance=397
+  merge2d/base: energy=960 messages=474 ops=300 depth=105 distance=397
+  mergesort2d: energy=4706 messages=1933 ops=935 depth=106 distance=397
+  rank_select_two_sorted: energy=2276 messages=896 ops=515 depth=99 distance=368
+  reduce: energy=128 messages=98 ops=98 depth=84 distance=329
+  scan: energy=246 messages=140 ops=194 depth=119 distance=429
+  segmented_scan: energy=246 messages=140 ops=194 depth=119 distance=429
+)");
+}
+
+TEST(PinnedCosts, ConnectedComponents) {
+  graph::EdgeList g{30, {}};
+  for (index_t k = 0; k < 24; ++k) {
+    g.edges.emplace_back((k * 7) % 30, (k * 13 + 5) % 30);
+  }
+  Machine m;
+  (void)graph::connected_components(m, g);
+  EXPECT_EQ(report(m), R"(
+total: energy=15156 messages=4920 ops=3643 depth=251 distance=869
+  allpairs_sort: energy=1160 messages=593 ops=293 depth=180 distance=659
+  broadcast: energy=1168 messages=725 ops=0 depth=193 distance=696
+  connected_components: energy=15156 messages=4920 ops=3643 depth=251 distance=869
+  merge2d: energy=5786 messages=2461 ops=998 depth=196 distance=707
+  merge2d/base: energy=1288 messages=696 ops=448 depth=196 distance=707
+  mergesort2d: energy=6410 messages=2731 ops=1286 depth=197 distance=710
+  rank_select_two_sorted: energy=3110 messages=1219 ops=646 depth=189 distance=682
+  reduce: energy=148 messages=120 ops=120 depth=179 distance=656
+  scan: energy=2304 messages=1332 ops=1848 depth=250 distance=855
+  segmented_scan: energy=2304 messages=1332 ops=1848 depth=250 distance=855
+)");
 }
 
 }  // namespace

@@ -4,13 +4,19 @@
 // cost shape.
 #include "collectives/scan.hpp"
 
+#include "spatial/congestion.hpp"
 #include "spatial/rng.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <span>
+#include <stdexcept>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 namespace scm {
 namespace {
@@ -206,6 +212,197 @@ TEST(Scan, DistanceIsOrderSqrtN) {
               8.0 * std::sqrt(static_cast<double>(n)))
         << n;
   }
+}
+
+// ---- Preconditions and placement -----------------------------------------
+
+TEST(Scan, RejectsATreeThatOverrunsTheRegion) {
+  // 5 elements at Z-order offset 11 of a 4 x 4 square: the covering power
+  // of four (16) needs positions up to 27, and the up-sweep would store
+  // nodes at (0, 4), outside the region. Nothing may be charged.
+  Machine m;
+  GridArray<long long> a(square_at({0, 0}, 4), Layout::kZOrder, 5, 11);
+  EXPECT_THROW((void)scan(m, a, Plus{}), std::invalid_argument);
+  EXPECT_THROW((void)exclusive_scan(m, a, Plus{}, 0LL),
+               std::invalid_argument);
+  EXPECT_EQ(m.metrics(), Metrics{});
+  EXPECT_TRUE(m.phases().empty());
+}
+
+TEST(Scan, RejectsARowMajorArray) {
+  Machine m;
+  GridArray<long long> a(square_at({0, 0}, 4), Layout::kRowMajor, 16);
+  EXPECT_THROW((void)scan(m, a, Plus{}), std::invalid_argument);
+  EXPECT_EQ(m.metrics(), Metrics{});
+}
+
+TEST(Scan, ResultsStayAtTheInputsProcessors) {
+  // 4 elements at Z-order offset 4 of a 4 x 4 square: input 0 sits at
+  // (0, 2), so result 0 must too.
+  Machine m;
+  GridArray<long long> a(square_at({0, 0}, 4), Layout::kZOrder, 4, 4);
+  for (index_t i = 0; i < 4; ++i) a[i].value = i + 1;
+  ASSERT_EQ(a.coord(0), (Coord{0, 2}));
+  const GridArray<long long> inc = scan(m, a, Plus{});
+  const GridArray<long long> exc = exclusive_scan(m, a, Plus{}, 0LL);
+  EXPECT_EQ(inc.values(), (std::vector<long long>{1, 3, 6, 10}));
+  EXPECT_EQ(exc.values(), (std::vector<long long>{0, 1, 3, 6}));
+  EXPECT_EQ(inc.offset(), a.offset());
+  EXPECT_EQ(exc.offset(), a.offset());
+  for (index_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(inc.coord(i), a.coord(i)) << i;
+    EXPECT_EQ(exc.coord(i), a.coord(i)) << i;
+  }
+}
+
+/// Counts scalar sends and op events, and records every bulk batch's
+/// (from, to) pairs.
+struct EventLog : TraceSink {
+  index_t scalar_sends{0};
+  index_t ops{0};
+  std::vector<std::vector<std::pair<Coord, Coord>>> batches;
+  void on_message(Coord, Coord, index_t) override { ++scalar_sends; }
+  void on_op(index_t) override { ++ops; }
+  void on_send_bulk(std::span<const MessageEvent> batch) override {
+    batches.emplace_back();
+    for (const MessageEvent& e : batch) {
+      batches.back().push_back({e.from, e.to});
+    }
+  }
+};
+
+TEST(Scan, ExclusiveShiftHopsAlongTheInputsCells) {
+  Machine m;
+  EventLog rec;
+  m.set_trace(&rec);
+  GridArray<long long> a(square_at({0, 0}, 4), Layout::kZOrder, 4, 4);
+  (void)exclusive_scan(m, a, Plus{}, 0LL);
+  // The scan itself sends scalar; the one batch is the shift.
+  ASSERT_EQ(rec.batches.size(), 1u);
+  ASSERT_EQ(rec.batches[0].size(), 3u);
+  for (index_t i = 1; i < a.size(); ++i) {
+    EXPECT_EQ(rec.batches[0][static_cast<size_t>(i - 1)],
+              std::make_pair(a.coord(i - 1), a.coord(i)))
+        << i;
+  }
+}
+
+// ---- segment_heads ---------------------------------------------------------
+
+/// The scalar hand-off loop segment_heads replaced, as its five scalar
+/// callers wrote it: position i < count receives position i - 1's
+/// pre-round clock with one send and one op.
+template <class T, class Key>
+std::vector<char> scalar_heads(Machine& m, GridArray<T>& a, Key key,
+                               index_t count) {
+  std::vector<Clock> before(static_cast<size_t>(a.size()));
+  for (index_t i = 0; i < a.size(); ++i) {
+    before[static_cast<size_t>(i)] = a[i].clock;
+  }
+  std::vector<char> head(static_cast<size_t>(a.size()), 0);
+  for (index_t i = 0; i < count; ++i) {
+    if (i == 0) {
+      head[0] = 1;
+      continue;
+    }
+    const Clock arrived =
+        m.send(a.coord(i - 1), a.coord(i), before[static_cast<size_t>(i - 1)]);
+    a[i].clock = Clock::join(a[i].clock, arrived);
+    m.op();
+    head[static_cast<size_t>(i)] =
+        key(a[i].value) != key(a[i - 1].value) ? 1 : 0;
+  }
+  return head;
+}
+
+/// Sorted keys with runs, each element carrying a seeded clock.
+GridArray<long long> sorted_keys(std::uint64_t seed, index_t n,
+                                 Layout layout) {
+  auto vals = random_ints(seed, static_cast<size_t>(n), 0, n / 3);
+  std::vector<long long> v(vals.begin(), vals.end());
+  std::sort(v.begin(), v.end());
+  auto a = GridArray<long long>::from_values_square({3, -2}, v, layout);
+  const auto clocks = random_ints(seed + 1, static_cast<size_t>(2 * n), 0, 40);
+  for (index_t i = 0; i < n; ++i) {
+    a[i].clock = Clock{clocks[static_cast<size_t>(2 * i)],
+                       clocks[static_cast<size_t>(2 * i + 1)]};
+  }
+  return a;
+}
+
+TEST(SegmentHeads, MatchesTheScalarHandOffLoop) {
+  const auto key = [](long long k) { return k; };
+  for (const Layout layout : {Layout::kRowMajor, Layout::kZOrder}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      for (const index_t n : {2, 37, 64}) {
+        for (const index_t count : {n, n / 2}) {
+          GridArray<long long> ref = sorted_keys(seed, n, layout);
+          GridArray<long long> got = ref;
+          Machine m_ref;
+          CongestionMap links_ref;
+          m_ref.set_trace(&links_ref);
+          const std::vector<char> want = scalar_heads(m_ref, ref, key, count);
+          Machine m;
+          CongestionMap links;
+          m.set_trace(&links);
+          const std::vector<char> heads = segment_heads(m, got, key, count);
+          if (count > 1) m.op(count - 1);
+          SCOPED_TRACE(::testing::Message() << "seed=" << seed << " n=" << n
+                                            << " count=" << count);
+          EXPECT_EQ(heads, want);
+          for (index_t i = 0; i < n; ++i) {
+            EXPECT_EQ(got[i].clock, ref[i].clock) << i;
+          }
+          EXPECT_EQ(m.metrics(), m_ref.metrics());
+          EXPECT_EQ(links.sorted_links(), links_ref.sorted_links());
+        }
+      }
+    }
+  }
+}
+
+TEST(SegmentHeads, ARoundIsOneBatchAndNoOps) {
+  GridArray<long long> a = sorted_keys(4, 20, Layout::kZOrder);
+  Machine m;
+  EventLog events;
+  m.set_trace(&events);
+  (void)segment_heads(m, a, [](long long k) { return k; }, 17);
+  EXPECT_EQ(events.scalar_sends, 0);
+  ASSERT_EQ(events.batches.size(), 1u);
+  EXPECT_EQ(events.batches[0].size(), 16u);
+  EXPECT_EQ(events.ops, 0);
+  EXPECT_EQ(m.metrics().messages, 16);
+  EXPECT_EQ(m.metrics().local_ops, 0);
+}
+
+TEST(SegmentHeads, CountZeroAndOneChargeNothing) {
+  for (const index_t count : {0, 1}) {
+    GridArray<long long> a = sorted_keys(5, 9, Layout::kRowMajor);
+    const GridArray<long long> before = a;
+    Machine m;
+    EventLog events;
+    m.set_trace(&events);
+    const std::vector<char> heads =
+        segment_heads(m, a, [](long long k) { return k; }, count);
+    std::vector<char> want(9, 0);
+    want[0] = count > 0 ? 1 : 0;
+    EXPECT_EQ(heads, want) << count;
+    EXPECT_EQ(m.metrics(), Metrics{}) << count;
+    EXPECT_TRUE(events.batches.empty()) << count;
+    EXPECT_EQ(events.scalar_sends + events.ops, 0) << count;
+    for (index_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].clock, before[i].clock) << i;
+    }
+  }
+}
+
+TEST(SegmentHeads, RejectsACountOutsideTheArray) {
+  GridArray<long long> a = sorted_keys(6, 9, Layout::kZOrder);
+  Machine m;
+  const auto key = [](long long k) { return k; };
+  EXPECT_THROW((void)segment_heads(m, a, key, -1), std::invalid_argument);
+  EXPECT_THROW((void)segment_heads(m, a, key, 10), std::invalid_argument);
+  EXPECT_EQ(m.metrics(), Metrics{});
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
 
 namespace scm {
 namespace {
@@ -53,6 +54,32 @@ TEST(TreeScan1D, MatchesReference) {
                                                       Layout::kRowMajor);
     EXPECT_EQ(tree_scan_1d(m, a, Plus{}).values(), ref_scan(v)) << n;
   }
+}
+
+TEST(TreeScan1D, NeedsRoomForItsTreeNotAPowerOfTwo) {
+  // The binary tree over 5 elements spans the 8 positions covering them:
+  // a 1 x 8 row holds it, a 1 x 5 row does not (its nodes would land at
+  // (1, 0) and (1, 1)). The refusal charges nothing.
+  const std::vector<long long> v{3, -1, 4, 1, -5};
+  Machine m;
+  const auto row8 =
+      GridArray<long long>::from_values(Rect{0, 0, 1, 8}, Layout::kRowMajor, v);
+  EXPECT_EQ(tree_scan_1d(m, row8, Plus{}).values(), ref_scan(v));
+  Machine m5;
+  const auto row5 =
+      GridArray<long long>::from_values(Rect{0, 0, 1, 5}, Layout::kRowMajor, v);
+  EXPECT_THROW((void)tree_scan_1d(m5, row5, Plus{}), std::invalid_argument);
+  EXPECT_EQ(m5.metrics(), Metrics{});
+  EXPECT_TRUE(m5.phases().empty());
+}
+
+TEST(TreeScan1D, ResultsStayAtTheInputsProcessors) {
+  Machine m;
+  GridArray<long long> a(Rect{0, 0, 2, 8}, Layout::kRowMajor, 4, 8);
+  for (index_t i = 0; i < 4; ++i) a[i].value = i;
+  const GridArray<long long> out = tree_scan_1d(m, a, Plus{});
+  EXPECT_EQ(out.values(), (std::vector<long long>{0, 1, 3, 6}));
+  for (index_t i = 0; i < a.size(); ++i) EXPECT_EQ(out.coord(i), a.coord(i));
 }
 
 TEST(TreeScan1D, PaysLogFactorOverZOrderScan) {
