@@ -27,10 +27,11 @@
 #include "spatial/grid_array.hpp"
 #include "spatial/machine.hpp"
 
+#include <array>
+#include <cstddef>
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace scm {
@@ -38,7 +39,12 @@ namespace scm {
 namespace detail {
 
 /// One scan execution: holds the summation-tree nodes produced by the
-/// up-sweep so the down-sweep can chain prefixes through them.
+/// up-sweep so the down-sweep can chain prefixes through them. The nodes
+/// follow Lemma IV.3's placement: the root of the height-h subtree over
+/// positions [lo, lo + arity^h) lives at the h-th processor of that
+/// subgrid, one per aligned block, so level h is a dense array indexed by
+/// lo / arity^h. All levels share one flat vector, sized once per run;
+/// leaves are not stored, since a height-0 node is the input cell itself.
 ///
 /// kLog2Arity = 2 gives the paper's 4-ary quadrant tree (the energy-optimal
 /// scan); kLog2Arity = 1 gives a binary tree over the array order, which is
@@ -55,7 +61,13 @@ class ScanExec {
   void run() {
     if (n_ == 0) return;
     index_t height = 0;
-    while ((index_t{1} << (kLog2Arity * height)) < n_) ++height;
+    index_t nodes = 0;
+    while ((index_t{1} << (kLog2Arity * height)) < n_) {
+      ++height;
+      level_begin_[height] = nodes;
+      nodes += ((n_ - 1) >> (kLog2Arity * height)) + 1;
+    }
+    tree_.resize(static_cast<std::size_t>(nodes));
     upsweep(0, height);
     downsweep(0, height, std::nullopt, Coord{});
   }
@@ -66,9 +78,10 @@ class ScanExec {
     Coord coord;
   };
 
-  static std::uint64_t key(index_t lo, index_t height) {
-    return (static_cast<std::uint64_t>(lo) << 6) |
-           static_cast<std::uint64_t>(height);
+  /// The stored node of [lo, lo + arity^height), for height >= 1.
+  Node& node(index_t lo, index_t height) {
+    return tree_[static_cast<std::size_t>(
+        level_begin_[height] + (lo >> (kLog2Arity * height)))];
   }
 
   /// Coordinate of logical position z in the array's layout order over its
@@ -84,11 +97,7 @@ class ScanExec {
   /// of the current subgrid in Z-order, where i is the distance to a
   /// leaf").
   Node upsweep(index_t lo, index_t height) {
-    if (height == 0) {
-      Node node{in_[lo], in_.coord(lo)};
-      nodes_[key(lo, 0)] = node;
-      return node;
-    }
+    if (height == 0) return Node{in_[lo], in_.coord(lo)};
     const index_t child_len = index_t{1} << (kLog2Arity * (height - 1));
     const Coord store_at = zcoord(lo + height);
     std::optional<Cell<T>> acc;
@@ -107,9 +116,7 @@ class ScanExec {
         acc = arrived;
       }
     }
-    Node node{*acc, store_at};
-    nodes_[key(lo, height)] = node;
-    return node;
+    return node(lo, height) = Node{*acc, store_at};
   }
 
   /// Delivers the exclusive prefix `x` (resident at `x_at`, or nullopt for
@@ -138,7 +145,8 @@ class ScanExec {
     for (int c = 0; c < kArity; ++c) {
       const index_t child_lo = lo + c * child_len;
       if (child_lo >= n_) break;
-      const Node& child = nodes_[key(child_lo, height - 1)];
+      const Node child = height == 1 ? Node{in_[child_lo], in_.coord(child_lo)}
+                                     : node(child_lo, height - 1);
       // Deliver the current prefix to this child's root processor.
       std::optional<Cell<T>> delivered;
       if (running) {
@@ -165,7 +173,9 @@ class ScanExec {
   GridArray<T>& out_;
   Op op_;
   index_t n_;
-  std::unordered_map<std::uint64_t, Node> nodes_;
+  std::vector<Node> tree_;
+  // level_begin_[h]: index in tree_ of level h's first node (h >= 1).
+  std::array<index_t, 64> level_begin_{};
 };
 
 /// Throws std::invalid_argument (naming `who`) unless the summation tree

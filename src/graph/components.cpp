@@ -7,8 +7,8 @@
 #include "spatial/zorder.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <numeric>
+#include <stdexcept>
 
 namespace scm::graph {
 
@@ -37,8 +37,17 @@ struct ByTail {
 }  // namespace
 
 ComponentsResult connected_components(Machine& m, const EdgeList& graph) {
-  Machine::PhaseScope scope(m, "connected_components");
   const index_t n = graph.n_vertices;
+  if (n < 0) {
+    throw std::invalid_argument("connected_components: negative n_vertices");
+  }
+  for (const auto& [u, v] : graph.edges) {
+    if (u < 0 || u >= n || v < 0 || v >= n) {
+      throw std::invalid_argument(
+          "connected_components: edge endpoint outside [0, n_vertices)");
+    }
+  }
+  Machine::PhaseScope scope(m, "connected_components");
   ComponentsResult out;
   out.label.resize(static_cast<size_t>(n));
   std::iota(out.label.begin(), out.label.end(), index_t{0});
@@ -51,7 +60,6 @@ ComponentsResult connected_components(Machine& m, const EdgeList& graph) {
   std::vector<Arc> arcs;
   arcs.reserve(graph.edges.size() * 2);
   for (const auto& [u, v] : graph.edges) {
-    assert(u >= 0 && u < n && v >= 0 && v < n);
     arcs.push_back(Arc{u, v, 0});
     arcs.push_back(Arc{v, u, 0});
   }

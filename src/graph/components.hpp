@@ -40,6 +40,8 @@ struct ComponentsResult {
 };
 
 /// Computes connected components by spatial min-label propagation.
+/// Throws std::invalid_argument, before charging anything, for a negative
+/// n_vertices or an edge endpoint outside [0, n_vertices).
 [[nodiscard]] ComponentsResult connected_components(Machine& m,
                                                     const EdgeList& graph);
 

@@ -3,6 +3,7 @@
 #include "spatial/parallel.hpp"
 #include "spatial/trace.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace scm {
@@ -16,6 +17,11 @@ inline bool raise(Clock& max, Clock c) {
   const bool rose = !(joined == max);
   max = joined;
   return rose;
+}
+
+/// Component-wise min, the dual of Clock::join.
+inline Clock meet(Clock a, Clock b) {
+  return Clock{std::min(a.depth, b.depth), std::min(a.distance, b.distance)};
 }
 }  // namespace
 
@@ -85,26 +91,24 @@ void Machine::send_bulk(std::span<MessageEvent> batch) {
 
 void Machine::apply_send_aggregate(index_t energy, index_t messages,
                                    Clock max) {
-  // One flush into the totals and each active phase. A batch's flush
-  // equals its messages' one-by-one flushes because sums commute and
+  // One charge into the totals and the pending delta. A batch's charge
+  // equals its messages' one-by-one charges because sums commute and
   // Clock::join is an associative/commutative max; the whole batch is
   // attributed to the phase set active at this call (phases cannot change
   // mid-batch by contract).
   totals_.energy += energy;
   totals_.messages += messages;
   totals_.max_clock = Clock::join(totals_.max_clock, max);
-  for (const PhaseId id : active_) {
-    Metrics& pm = slot(id);
-    pm.energy += energy;
-    pm.messages += messages;
-    pm.max_clock = Clock::join(pm.max_clock, max);
-  }
+  pending_.energy += energy;
+  pending_.messages += messages;
+  touch_active(max);
 }
 
 void Machine::op(index_t n) {
   assert(n >= 0);
   totals_.local_ops += n;
-  for (const PhaseId id : active_) slot(id).local_ops += n;
+  pending_.local_ops += n;
+  touch_active(Clock{});
   emit([&](TraceSink& s) { s.on_op(n); });
 }
 
@@ -121,11 +125,42 @@ void Machine::observe(Clock c) {
 
 bool Machine::join_clock(Clock c) {
   bool changed = raise(totals_.max_clock, c);
-  for (const PhaseId id : active_) {
-    changed |= touched_flag_[id] == 0;  // first touch: phases() gains it
-    changed |= raise(slot(id).max_clock, c);
-  }
+  // An active phase is touched for the first time, or the lowest active
+  // max clock lies below c in some component, so some phase's max rises.
+  changed |= untouched_active_;
+  changed |= c.depth > floor_.depth || c.distance > floor_.distance;
+  touch_active(c);
   return changed;
+}
+
+void Machine::touch_active(Clock c) {
+  pending_.max_clock = Clock::join(pending_.max_clock, c);
+  has_pending_ = true;
+  untouched_active_ = false;
+  // The min of the maxes rises to c exactly as each max does.
+  floor_ = Clock::join(floor_, c);
+}
+
+void Machine::flush() const {
+  if (!has_pending_) return;
+  has_pending_ = false;
+  for (const PhaseId id : active_) {
+    Metrics& pm = slot(id);
+    pm.energy += pending_.energy;
+    pm.messages += pending_.messages;
+    pm.local_ops += pending_.local_ops;
+    pm.max_clock = Clock::join(pm.max_clock, pending_.max_clock);
+  }
+  pending_ = Metrics{};
+}
+
+void Machine::refloor() {
+  floor_ = kNoFloor;
+  untouched_active_ = false;
+  for (const PhaseId id : active_) {
+    floor_ = meet(floor_, phase_totals_[id].max_clock);
+    untouched_active_ |= touched_flag_[id] == 0;
+  }
 }
 
 void Machine::birth(Coord at, Clock c) {
@@ -160,11 +195,14 @@ void Machine::death_bulk(std::span<const Coord> batch) {
 
 void Machine::reset() {
   totals_ = Metrics{};
+  pending_ = Metrics{};
+  has_pending_ = false;
   for (const PhaseId id : touched_) {
     phase_totals_[id] = Metrics{};
     touched_flag_[id] = 0;
   }
   touched_.clear();
+  refloor();
   // Phase stack (and with it the active set) intentionally survives a
   // reset so a PhaseScope spanning the reset keeps attributing costs;
   // resetting mid-scope is unusual but legal.
@@ -172,6 +210,7 @@ void Machine::reset() {
 }
 
 std::map<std::string, Metrics> Machine::phases() const {
+  flush();
   const PhaseRegistry& registry = PhaseRegistry::instance();
   std::map<std::string, Metrics> out;
   for (const PhaseId id : touched_) {
@@ -181,17 +220,12 @@ std::map<std::string, Metrics> Machine::phases() const {
 }
 
 const Metrics& Machine::phase(std::string_view name) const {
-  static const Metrics kEmpty{};
-  const PhaseId id = PhaseRegistry::instance().find(name);
-  if (id == kNoPhase || id >= touched_flag_.size() ||
-      touched_flag_[id] == 0) {
-    return kEmpty;
-  }
-  return phase_totals_[id];
+  return phase(PhaseRegistry::instance().find(name));
 }
 
 const Metrics& Machine::phase(PhaseId id) const {
   static const Metrics kEmpty{};
+  flush();
   if (id == kNoPhase || id >= touched_flag_.size() ||
       touched_flag_[id] == 0) {
     return kEmpty;
@@ -211,16 +245,22 @@ void Machine::begin_phase(PhaseId id) {
     touched_flag_.resize(size, 0);
     phase_totals_.resize(size);
   }
+  flush();
   phase_stack_.push_back(id);
   // First occurrence on the stack: the phase joins the attribution set.
   // Deeper re-entries of the same name only bump the count, which is the
   // whole recursive-name dedup — moved from per-event to per-transition.
-  if (stack_count_[id]++ == 0) active_.push_back(id);
+  if (stack_count_[id]++ == 0) {
+    active_.push_back(id);
+    floor_ = meet(floor_, phase_totals_[id].max_clock);
+    untouched_active_ |= touched_flag_[id] == 0;
+  }
   emit([&](TraceSink& s) { s.on_phase_enter(id); });
 }
 
 void Machine::end_phase() {
   if (phase_stack_.empty()) return;
+  flush();
   const PhaseId id = phase_stack_.back();
   phase_stack_.pop_back();
   if (--stack_count_[id] == 0) {
@@ -229,6 +269,7 @@ void Machine::end_phase() {
     // recently activated id.
     assert(!active_.empty() && active_.back() == id);
     active_.pop_back();
+    refloor();
   }
   emit([&](TraceSink& s) { s.on_phase_exit(id); });
 }

@@ -14,11 +14,13 @@
 //
 // Named phases give per-stage cost breakdowns for benchmarks and ablations.
 // Phase names are interned into dense PhaseIds (spatial/phase.hpp) and the
-// attribution engine works purely on integers: charging a message is
-// O(active distinct phases) integer adds with zero string hashing or
-// comparison. The name-level deduplication recursive algorithms need (a
-// phase stacked at every recursion level is attributed once) happens at
-// phase transitions, not per event.
+// attribution engine works purely on integers. Charging an event is O(1)
+// at any phase depth: it adds into the totals and into one pending delta
+// for the current active phase set. The walk that adds the delta into
+// every active phase runs per transition (begin_phase, end_phase) and per
+// per-phase query, as does the name-level deduplication recursive
+// algorithms need (a phase stacked at every recursion level is attributed
+// once).
 #pragma once
 
 #include "spatial/clock.hpp"
@@ -28,6 +30,7 @@
 #include "spatial/trace.hpp"
 
 #include <deque>
+#include <limits>
 #include <map>
 #include <span>
 #include <string>
@@ -59,16 +62,15 @@ class Machine {
   ///
   /// Semantics are *metrics-identical* to calling send() per entry in
   /// batch order: same totals, same per-phase records, same events as
-  /// observed through the default TraceSink replay. The speedup comes
-  /// from amortization: energy/messages/clock maxima accumulate in a
-  /// tight local loop, the active-phase set is resolved once per batch
-  /// (phases cannot change mid-batch — the whole batch is attributed to
-  /// the phase set active at this call), and attached sinks receive one
-  /// on_send_bulk event instead of up to two virtual dispatches per
-  /// message. No event is emitted when every entry is zero-length. The
-  /// A/B harness (spatial/bulk_ab.hpp) holds the fast path to this
-  /// contract by replaying a bulk run's events entry by entry through
-  /// send() on a fresh Machine.
+  /// observed through the default TraceSink replay (phases cannot change
+  /// mid-batch — the whole batch is attributed to the phase set active at
+  /// this call). The speedup comes from amortization: one call for the
+  /// batch, energy/messages/clock maxima accumulated in a tight local
+  /// loop, and one on_send_bulk event for attached sinks instead of up to
+  /// two virtual dispatches per message. No event is emitted when every
+  /// entry is zero-length. The A/B harness (spatial/bulk_ab.hpp) holds the
+  /// fast path to this contract by replaying a bulk run's events entry by
+  /// entry through send() on a fresh Machine.
   void send_bulk(std::span<MessageEvent> batch);
 
   /// Records `n` local compute operations (free in the model's metrics;
@@ -122,16 +124,22 @@ class Machine {
   /// once it has at least one attributed event. Each call copies every
   /// record into a fresh string-keyed map, so it is for report-time
   /// snapshots; hot query paths use touched_phases() with phase(PhaseId).
+  /// Like every per-phase query, it first adds the pending delta into the
+  /// active phases, which changes no number any query reports.
   [[nodiscard]] std::map<std::string, Metrics> phases() const;
 
   /// Costs recorded under a phase name; a zero Metrics if never entered.
-  /// The reference is stable across further charging and phase
-  /// transitions (per-phase records never move), so hot query paths pay
-  /// no Metrics copy.
+  /// The reference stays valid across further charging, transitions and
+  /// resets (per-phase records never move), so hot query paths pay no
+  /// Metrics copy. Its fields include every charge up to the latest phase
+  /// transition, per-phase query or reset; charges since then sit in the
+  /// pending delta until the next one. A reference taken before the
+  /// phase's first attributed event is a shared zero that does not follow
+  /// later charges.
   [[nodiscard]] const Metrics& phase(std::string_view name) const;
 
   /// Id-indexed form of phase(): costs recorded under the interned phase
-  /// `id`, zero Metrics if never touched. Stable reference; the
+  /// `id`, zero Metrics if never touched. Same reference contract; the
   /// zero-string-work accessor for hot query loops.
   [[nodiscard]] const Metrics& phase(PhaseId id) const;
 
@@ -139,8 +147,9 @@ class Machine {
   /// last reset, in first-touch order: the phases phases() would list.
   /// With phase(PhaseId) this iterates the per-phase records without
   /// building a map or touching a name. The span is invalidated by the
-  /// next event that touches a phase for the first time, and by reset().
+  /// next phase transition, per-phase query or reset.
   [[nodiscard]] std::span<const PhaseId> touched_phases() const {
+    flush();
     return touched_;
   }
 
@@ -190,17 +199,33 @@ class Machine {
   /// events raises the same clocks.
   bool join_clock(Clock c);
 
-  /// One merged flush of sends into the totals and every active phase:
+  /// One merged charge of sends into the totals and the pending delta:
   /// energy, message count and the join of the arrival clocks. The one
   /// charging path, shared by send (one message), the serial bulk loop and
   /// the parallel engine's merged aggregate, so all three are
   /// bit-identical by construction.
   void apply_send_aggregate(index_t energy, index_t messages, Clock max);
 
+  /// Bookkeeping every charged event shares: joins the event's clock `c`
+  /// into the pending delta and into the floor, and marks every active
+  /// phase as touched.
+  void touch_active(Clock c);
+
+  /// Adds the pending delta into every active phase, in `active_` order
+  /// (so first-touch order is the per-event order), and clears it. const
+  /// because per-phase queries run it; the delta and the records it
+  /// writes are mutable, so const queries of one Machine must not run
+  /// concurrently either.
+  void flush() const;
+
+  /// Recomputes floor_ and untouched_active_ over the active phases.
+  /// Precondition: no pending delta.
+  void refloor();
+
   /// The per-phase record for `id`, marking it as touched (= it will
   /// appear in phases()). Precondition: `id` is on the phase stack, so the
   /// per-id tables were sized by begin_phase.
-  Metrics& slot(PhaseId id) {
+  Metrics& slot(PhaseId id) const {
     if (touched_flag_[id] == 0) {
       touched_flag_[id] = 1;
       touched_.push_back(id);
@@ -217,23 +242,39 @@ class Machine {
     }
   }
 
+  /// floor_ of an empty active set: no clock rises above it.
+  static constexpr Clock kNoFloor{std::numeric_limits<index_t>::max(),
+                                  std::numeric_limits<index_t>::max()};
+
   Metrics totals_{};
 
   // The attribution engine. `active_` is the precomputed set of distinct
   // phase ids currently on the stack, ordered by the stack position of
   // each id's first (outermost) occurrence; `stack_count_[id]` counts the
   // occurrences of `id` on the stack. begin/end_phase maintain both in
-  // O(1), so the per-event loops in send/op/observe touch each distinct
-  // active phase exactly once with no dedup scan. All id-indexed tables
-  // are sized to the PhaseRegistry on demand at phase entry; per-phase
-  // Metrics live in a deque so references handed out by phase() stay
-  // valid as the id space grows.
+  // O(1) and flush the pending delta, the charges since the last flush,
+  // into each distinct active phase exactly once with no dedup scan. All
+  // id-indexed tables are sized to the PhaseRegistry on demand at phase
+  // entry; per-phase Metrics live in a deque so references handed out by
+  // phase() stay valid as the id space grows.
   std::vector<PhaseId> phase_stack_;
   std::vector<PhaseId> active_;
   std::vector<index_t> stack_count_;
-  std::deque<Metrics> phase_totals_;
-  std::vector<char> touched_flag_;
-  std::vector<PhaseId> touched_;
+  mutable std::deque<Metrics> phase_totals_;
+  mutable std::vector<char> touched_flag_;
+  mutable std::vector<PhaseId> touched_;
+  mutable Metrics pending_{};
+  // Set by every charged event, even one that adds nothing (op(0), an
+  // observe of a lower clock): the flush still touches the active phases.
+  mutable bool has_pending_{false};
+
+  // What observe() needs to emit exactly when a record changes, in O(1):
+  // floor_ is the component-wise min, over the active phases, of their
+  // max clocks with the pending delta included, so some active phase's
+  // max rises under c iff c exceeds floor_ in a component; and whether
+  // some active phase has no attributed event yet.
+  Clock floor_{kNoFloor};
+  bool untouched_active_{false};
 
   TraceSink* trace_{nullptr};
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <stdexcept>
 
 namespace scm {
 namespace {
@@ -101,6 +102,29 @@ TEST(Components, CostsScaleWithRoundsTimesLinearWork) {
   const ComponentsResult r = graph::connected_components(m, g);
   expect_same_partition(r.label, graph::reference_components(g));
   EXPECT_LE(r.rounds, 12);  // random graphs have O(log n) diameter
+}
+
+// Out-of-range input is refused in every build, before anything is
+// charged.
+void expect_rejected_without_charge(const EdgeList& g) {
+  Machine m;
+  EXPECT_THROW((void)graph::connected_components(m, g),
+               std::invalid_argument);
+  EXPECT_EQ(m.metrics(), Metrics{});
+  EXPECT_TRUE(m.phases().empty());
+}
+
+TEST(Components, RejectsAnEndpointPastTheLabelArray) {
+  expect_rejected_without_charge(EdgeList{3, {{0, 2}, {1, 40}}});
+}
+
+TEST(Components, RejectsAnEndpointThatWouldBeDroppedSilently) {
+  expect_rejected_without_charge(EdgeList{3, {{0, 5}}});
+}
+
+TEST(Components, RejectsANegativeVertexCountOrEndpoint) {
+  expect_rejected_without_charge(EdgeList{-1, {}});
+  expect_rejected_without_charge(EdgeList{3, {{-1, 2}}});
 }
 
 }  // namespace

@@ -165,8 +165,9 @@ TEST(MachinePhases, CostReportUnchangedByInterleavedPhaseQueries) {
   const std::string plain = run(false);
   const std::string queried = run(true);
   EXPECT_FALSE(plain.empty());
-  // phases() builds a read-only snapshot, so querying it between charges
-  // must not change a byte of the report.
+  // phases() first flushes the pending delta into the active phases, so a
+  // query between charges changes when the per-phase records are written;
+  // it must not change a byte of the report.
   EXPECT_EQ(plain, queried);
 }
 

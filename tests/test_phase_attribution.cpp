@@ -3,13 +3,16 @@
 // The Machine attributes every charged event to each *distinct* active
 // phase name exactly once (a phase stacked at every recursion level is not
 // double-counted). The engine maintains that set incrementally at phase
-// transitions; these tests pin its semantics against an executable
-// reference: the original per-event formulation that rescans the name
-// stack for first occurrences. Both are driven through identical event
-// sequences — nested, repeated, reset-spanning, and randomized — and must
-// produce identical per-phase Metrics.
+// transitions and adds a pending delta into it per transition and per
+// query; these tests pin its semantics against an executable reference:
+// the original per-event formulation that rescans the name stack for
+// first occurrences and charges every phase eagerly. Both are driven
+// through identical event sequences — nested, repeated, reset-spanning,
+// and randomized — and must produce identical totals, per-phase Metrics,
+// first-touch order and on_observe emissions.
 #include "spatial/machine.hpp"
 #include "spatial/phase.hpp"
+#include "spatial/trace.hpp"
 
 #include <gtest/gtest.h>
 
@@ -23,7 +26,8 @@ namespace {
 
 // The pre-interning attribution semantics, restated directly from the
 // model: an event is charged to phase_stack[i] iff no earlier stack entry
-// carries the same name. O(depth^2) per event — fine as a test oracle.
+// carries the same name, at the moment it happens. O(depth^2) per event —
+// fine as a test oracle.
 class ReferenceAttribution {
  public:
   void begin(const std::string& name) { stack_.push_back(name); }
@@ -32,39 +36,66 @@ class ReferenceAttribution {
     if (!stack_.empty()) stack_.pop_back();
   }
 
-  void charge(index_t energy, index_t messages) {
-    for (std::size_t i = 0; i < stack_.size(); ++i) {
-      if (first_occurrence(i)) {
-        Metrics& pm = totals_[stack_[i]];
-        pm.energy += energy;
-        pm.messages += messages;
-      }
-    }
+  // Messages: energy, count and the join of their arrival clocks.
+  void charge(index_t energy, index_t messages, Clock max) {
+    totals_.energy += energy;
+    totals_.messages += messages;
+    (void)join(max);
+    for_each_active([&](Metrics& pm) {
+      pm.energy += energy;
+      pm.messages += messages;
+    });
   }
 
   void op(index_t n) {
-    for (std::size_t i = 0; i < stack_.size(); ++i) {
-      if (first_occurrence(i)) totals_[stack_[i]].local_ops += n;
-    }
+    totals_.local_ops += n;
+    for_each_active([&](Metrics& pm) { pm.local_ops += n; });
   }
 
-  void observe(Clock c) {
+  // Joins `c` into the totals and every active phase; true when a record
+  // changed: the totals' or an active phase's max clock rose, or an active
+  // phase was touched for the first time.
+  bool join(Clock c) {
+    bool changed = raise(totals_.max_clock, c);
     for (std::size_t i = 0; i < stack_.size(); ++i) {
-      if (first_occurrence(i)) {
-        Metrics& pm = totals_[stack_[i]];
-        pm.max_clock = Clock::join(pm.max_clock, c);
-      }
+      if (!first_occurrence(i)) continue;
+      changed |= phases_.count(stack_[i]) == 0;
+      changed |= raise(record(stack_[i]).max_clock, c);
     }
+    return changed;
+  }
+
+  // Machine::observe: emits exactly when the join changed a record.
+  void observe(Clock c) {
+    if (join(c)) observed_.push_back(c);
   }
 
   // Mirrors Machine::reset: records clear, the stack survives.
-  void reset() { totals_.clear(); }
+  void reset() {
+    totals_ = Metrics{};
+    phases_.clear();
+    touched_.clear();
+  }
 
+  [[nodiscard]] const Metrics& totals() const { return totals_; }
   [[nodiscard]] const std::map<std::string, Metrics>& phases() const {
-    return totals_;
+    return phases_;
+  }
+  [[nodiscard]] const std::vector<std::string>& touched() const {
+    return touched_;
+  }
+  [[nodiscard]] const std::vector<Clock>& observed() const {
+    return observed_;
   }
 
  private:
+  static bool raise(Clock& max, Clock c) {
+    const Clock joined = Clock::join(max, c);
+    const bool rose = !(joined == max);
+    max = joined;
+    return rose;
+  }
+
   [[nodiscard]] bool first_occurrence(std::size_t i) const {
     for (std::size_t j = 0; j < i; ++j) {
       if (stack_[j] == stack_[i]) return false;
@@ -72,15 +103,45 @@ class ReferenceAttribution {
     return true;
   }
 
+  Metrics& record(const std::string& name) {
+    const auto [it, inserted] = phases_.try_emplace(name);
+    if (inserted) touched_.push_back(name);
+    return it->second;
+  }
+
+  template <class Fn>
+  void for_each_active(Fn fn) {
+    for (std::size_t i = 0; i < stack_.size(); ++i) {
+      if (first_occurrence(i)) fn(record(stack_[i]));
+    }
+  }
+
   std::vector<std::string> stack_;
-  std::map<std::string, Metrics> totals_;
+  Metrics totals_;
+  std::map<std::string, Metrics> phases_;
+  std::vector<std::string> touched_;  // first-touch order
+  std::vector<Clock> observed_;
 };
 
-// Drives a Machine and the reference through the same event stream. Sends
-// use fresh unit-distance processor pairs so the harness-attached
-// conformance checker sees a model-clean trace (one arrival per cell).
+/// Collects every on_observe clock.
+class ObserveLog final : public TraceSink {
+ public:
+  void on_message(Coord, Coord, index_t) override {}
+  void on_observe(Clock c) override { observed.push_back(c); }
+
+  std::vector<Clock> observed;
+};
+
+// Drives a Machine and the reference through the same event stream. Every
+// message, arrival and birth uses a fresh column, so the harness-attached
+// conformance checker sees a model-clean trace (one value per cell).
 class Harness {
  public:
+  Harness() { machine.set_trace(&log); }
+  ~Harness() { machine.set_trace(nullptr); }
+  Harness(const Harness&) = delete;
+  Harness& operator=(const Harness&) = delete;
+
   void begin(const std::string& name) {
     machine.begin_phase(name);
     ref.begin(name);
@@ -91,13 +152,32 @@ class Harness {
     ref.end();
   }
 
-  void send() {
-    const Clock arrival =
-        machine.send({0, next_col_}, {1, next_col_}, Clock{});
-    ++next_col_;
-    // Machine::send = charge(distance, 1) + observe(arrival).
-    ref.charge(1, 1);
-    ref.observe(arrival);
+  void send(Clock payload = Clock{}) {
+    const index_t col = next_col_++;
+    const Clock arrival = machine.send({0, col}, {1, col}, payload);
+    ref.charge(1, 1, arrival);
+  }
+
+  // One batch; entries with `zero_length` set stay on their cell and are
+  // free. A batch of only such entries charges nothing.
+  void send_bulk(const std::vector<Clock>& payloads,
+                 const std::vector<bool>& zero_length) {
+    std::vector<MessageEvent> batch;
+    index_t energy = 0;
+    index_t messages = 0;
+    Clock max{};
+    for (std::size_t i = 0; i < payloads.size(); ++i) {
+      const index_t col = next_col_++;
+      const Coord to = zero_length[i] ? Coord{0, col} : Coord{1, col};
+      batch.push_back(MessageEvent{{0, col}, to, 0, payloads[i], Clock{}});
+      if (!zero_length[i]) {
+        energy += 1;
+        messages += 1;
+        max = Clock::join(max, payloads[i].after_hop(1));
+      }
+    }
+    machine.send_bulk(batch);
+    if (messages > 0) ref.charge(energy, messages, max);
   }
 
   void op(index_t n) {
@@ -110,17 +190,47 @@ class Harness {
     ref.observe(c);
   }
 
+  void birth(Clock c) {
+    machine.birth({2, next_col_++}, c);
+    (void)ref.join(c);
+  }
+
+  // An empty batch is a no-op; otherwise the join of its clocks.
+  void birth_bulk(const std::vector<Clock>& clocks) {
+    std::vector<BirthEvent> batch;
+    Clock max{};
+    for (const Clock c : clocks) {
+      batch.push_back(BirthEvent{{2, next_col_++}, c});
+      max = Clock::join(max, c);
+    }
+    machine.birth_bulk(batch);
+    if (!batch.empty()) (void)ref.join(max);
+  }
+
   void reset() {
     machine.reset();
     ref.reset();
   }
 
+  /// The Machine's first-touch order, as names.
+  [[nodiscard]] std::vector<std::string> touched_names() const {
+    std::vector<std::string> names;
+    for (const PhaseId id : machine.touched_phases()) {
+      names.push_back(PhaseRegistry::instance().name(id));
+    }
+    return names;
+  }
+
   void expect_equivalent(const std::string& label) const {
+    EXPECT_EQ(machine.metrics(), ref.totals()) << label;
     EXPECT_EQ(machine.phases(), ref.phases()) << label;
+    EXPECT_EQ(touched_names(), ref.touched()) << label;
+    EXPECT_EQ(log.observed, ref.observed()) << label;
   }
 
   Machine machine;
   ReferenceAttribution ref;
+  ObserveLog log;
 
  private:
   index_t next_col_{0};
@@ -229,6 +339,117 @@ TEST(PhaseAttribution, RandomizedSequencesMatchReference) {
       --depth;
     }
     h.expect_equivalent("seed " + std::to_string(seed));
+  }
+}
+
+// Every event kind, resets, and per-phase queries at random steps. Queries
+// flush the pending delta, so each answer must equal the reference's and
+// the run's final records, first-touch order and on_observe emissions must
+// equal those of the same stream without queries.
+struct AttributionOutcome {
+  Metrics totals;
+  std::map<std::string, Metrics> phases;
+  std::vector<std::string> touched;
+  std::vector<Clock> observed;
+};
+
+AttributionOutcome run_random_stream(std::uint64_t seed, bool query) {
+  const std::vector<std::string> names = {"sort", "merge", "merge/step",
+                                          "scan", "base"};
+  Harness h;
+  std::mt19937_64 rng(seed);
+  const auto clock = [&rng] {
+    const auto depth = static_cast<index_t>(rng() % 8);
+    return Clock{depth, static_cast<index_t>(rng() % 64)};
+  };
+  const auto clocks = [&] {
+    std::vector<Clock> out(rng() % 4);
+    for (Clock& c : out) c = clock();
+    return out;
+  };
+  int depth = 0;
+  for (int step = 0; step < 3000; ++step) {
+    switch (rng() % 16) {
+      case 0:
+      case 1:
+      case 2:
+        if (depth < 40) {
+          h.begin(names[rng() % names.size()]);
+          ++depth;
+        }
+        break;
+      case 3:
+      case 4:
+        if (depth > 0) {
+          h.end();
+          --depth;
+        }
+        break;
+      case 5:
+      case 6:
+        h.send(clock());
+        break;
+      case 7: {
+        const std::vector<Clock> payloads = clocks();
+        std::vector<bool> zero_length;
+        for (std::size_t i = 0; i < payloads.size(); ++i) {
+          zero_length.push_back(rng() % 3 == 0);
+        }
+        h.send_bulk(payloads, zero_length);
+        break;
+      }
+      case 8:
+        h.op(static_cast<index_t>(rng() % 3));  // op(0) touches, too
+        break;
+      case 9:
+        h.birth(clock());
+        break;
+      case 10:
+        h.birth_bulk(clocks());
+        break;
+      case 11:
+        if (rng() % 4 == 0) h.reset();
+        break;
+      default:
+        h.observe(clock());
+        break;
+    }
+    // Drawn on every step, so both runs see the same event stream.
+    const std::uint64_t ask = rng() % 24;
+    const std::string& asked = names[rng() % names.size()];
+    if (!query) continue;
+    if (ask == 0) {
+      const PhaseId id = PhaseRegistry::instance().find(asked);
+      const auto it = h.ref.phases().find(asked);
+      const Metrics want =
+          it == h.ref.phases().end() ? Metrics{} : it->second;
+      EXPECT_EQ(h.machine.phase(id), want) << asked << " step " << step;
+      EXPECT_EQ(h.machine.phase(asked), want) << asked << " step " << step;
+    } else if (ask == 1) {
+      EXPECT_EQ(h.machine.phases(), h.ref.phases()) << "step " << step;
+    } else if (ask == 2) {
+      EXPECT_EQ(h.touched_names(), h.ref.touched()) << "step " << step;
+    }
+  }
+  while (depth > 0) {
+    h.end();
+    --depth;
+  }
+  h.expect_equivalent("seed " + std::to_string(seed) +
+                      (query ? " with queries" : " without queries"));
+  return {h.machine.metrics(), h.machine.phases(), h.touched_names(),
+          h.log.observed};
+}
+
+TEST(PhaseAttribution, RandomizedStreamsWithQueriesMatchReference) {
+  for (std::uint64_t seed : {3u, 11u, 29u, 101u}) {
+    const AttributionOutcome queried = run_random_stream(seed, true);
+    const AttributionOutcome plain = run_random_stream(seed, false);
+    EXPECT_EQ(queried.totals, plain.totals) << seed;
+    EXPECT_EQ(queried.phases, plain.phases) << seed;
+    EXPECT_EQ(queried.touched, plain.touched) << seed;
+    EXPECT_EQ(queried.observed, plain.observed) << seed;
+    EXPECT_FALSE(plain.observed.empty()) << seed;
   }
 }
 

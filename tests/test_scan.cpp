@@ -4,6 +4,8 @@
 // cost shape.
 #include "collectives/scan.hpp"
 
+#include "collectives/baselines.hpp"
+#include "core/scm.hpp"
 #include "spatial/congestion.hpp"
 #include "spatial/rng.hpp"
 
@@ -11,9 +13,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -285,6 +289,189 @@ TEST(Scan, ExclusiveShiftHopsAlongTheInputsCells) {
               std::make_pair(a.coord(i - 1), a.coord(i)))
         << i;
   }
+}
+
+// ---- Pinned event streams --------------------------------------------------
+//
+// The cost_report (totals and every phase) and a digest of the event stream
+// of each scan shape, recorded once and never edited. No golden artifact
+// pins the send order of underfilled or offset scans, and the critical-path
+// witness depends on that order.
+
+/// FNV-1a over every on_send (from, to, payload, arrival), on_op and
+/// on_observe, in order.
+class StreamDigest final : public TraceSink {
+ public:
+  void on_message(Coord, Coord, index_t) override {}
+  void on_send(const MessageEvent& e) override {
+    mix('s');
+    mix(e.from.row);
+    mix(e.from.col);
+    mix(e.to.row);
+    mix(e.to.col);
+    mix(e.payload.depth);
+    mix(e.payload.distance);
+    mix(e.arrival.depth);
+    mix(e.arrival.distance);
+  }
+  void on_op(index_t n) override {
+    mix('o');
+    mix(n);
+  }
+  void on_observe(Clock c) override {
+    mix('b');
+    mix(c.depth);
+    mix(c.distance);
+  }
+
+  std::uint64_t value{14695981039346656037ULL};
+
+ private:
+  void mix(index_t x) {
+    for (int byte = 0; byte < 8; ++byte) {
+      value ^= (static_cast<std::uint64_t>(x) >> (8 * byte)) & 0xFFU;
+      value *= 1099511628211ULL;
+    }
+  }
+};
+
+struct PinnedRun {
+  std::string report;
+  std::uint64_t digest;
+};
+
+template <class Run>
+PinnedRun pinned_run(Run run) {
+  Machine m;
+  StreamDigest digest;
+  m.set_trace(&digest);
+  run(m);
+  m.set_trace(nullptr);
+  return {"\n" + cost_report(m), digest.value};
+}
+
+/// Fills `a` with formula values and non-zero input clocks.
+GridArray<long long> with_formula_cells(GridArray<long long> a) {
+  for (index_t i = 0; i < a.size(); ++i) {
+    a[i] = Cell<long long>{(i * 37 + 11) % 23 - 9,
+                           Clock{(i * 5) % 7, (i * 3) % 11}};
+  }
+  return a;
+}
+
+GridArray<long long> formula_square(index_t n) {
+  return with_formula_cells(GridArray<long long>(
+      square_at({0, 0}, square_side_for(n)), Layout::kZOrder, n));
+}
+
+TEST(ScanPinned, ScanShapes) {
+  const std::vector<std::pair<index_t, PinnedRun>> want = {
+      {1, {R"(
+total: energy=0 messages=0 ops=0 depth=0 distance=0
+)", 0xCBF29CE484222325ULL}},
+      {2, {R"(
+total: energy=2 messages=2 ops=3 depth=5 distance=3
+  scan: energy=2 messages=2 ops=3 depth=5 distance=3
+)", 0xE27C57294982F90FULL}},
+      {3, {R"(
+total: energy=6 messages=4 ops=6 depth=6 distance=8
+  scan: energy=6 messages=4 ops=6 depth=6 distance=8
+)", 0xE005E50FB57C82CDULL}},
+      {5, {R"(
+total: energy=18 messages=11 ops=13 depth=8 distance=13
+  scan: energy=18 messages=11 ops=13 depth=8 distance=13
+)", 0xFC036E2FAD975999ULL}},
+      {16, {R"(
+total: energy=55 messages=34 ops=48 depth=13 distance=23
+  scan: energy=55 messages=34 ops=48 depth=13 distance=23
+)", 0x62E6BE15AF0C53C1ULL}},
+      {17, {R"(
+total: energy=69 messages=41 ops=53 depth=13 distance=23
+  scan: energy=69 messages=41 ops=53 depth=13 distance=23
+)", 0xFAC73D084622EF33ULL}},
+      {100, {R"(
+total: energy=430 messages=239 ops=328 depth=20 distance=51
+  scan: energy=430 messages=239 ops=328 depth=20 distance=51
+)", 0x51D4586F4DC2BB03ULL}},
+      {1000, {R"(
+total: energy=4543 messages=2411 ops=3326 depth=28 distance=159
+  scan: energy=4543 messages=2411 ops=3326 depth=28 distance=159
+)", 0x749FC639980CB66DULL}},
+  };
+  for (const auto& [n, expected] : want) {
+    const PinnedRun got = pinned_run(
+        [n](Machine& m) { (void)scan(m, formula_square(n), Plus{}); });
+    EXPECT_EQ(got.report, expected.report) << "n=" << n;
+    EXPECT_EQ(got.digest, expected.digest) << "n=" << n;
+  }
+}
+
+TEST(ScanPinned, OffsetScan) {
+  const PinnedRun got = pinned_run([](Machine& m) {
+    const auto a = with_formula_cells(
+        GridArray<long long>(square_at({0, 0}, 4), Layout::kZOrder, 4, 4));
+    (void)scan(m, a, Plus{});
+  });
+  EXPECT_EQ(got.report, R"(
+total: energy=8 messages=6 ops=9 depth=7 distance=10
+  scan: energy=8 messages=6 ops=9 depth=7 distance=10
+)");
+  EXPECT_EQ(got.digest, 0x2B89310D9CA80023ULL);
+}
+
+TEST(ScanPinned, ExclusiveAndSegmentedScans) {
+  const PinnedRun exclusive = pinned_run([](Machine& m) {
+    (void)exclusive_scan(m, formula_square(100), Plus{}, 0LL);
+  });
+  EXPECT_EQ(exclusive.report, R"(
+total: energy=614 messages=338 ops=328 depth=21 distance=59
+  exclusive_scan: energy=614 messages=338 ops=328 depth=21 distance=59
+  scan: energy=430 messages=239 ops=328 depth=20 distance=51
+)");
+  EXPECT_EQ(exclusive.digest, 0x0F13B2F4B9EEE847ULL);
+
+  const PinnedRun segmented = pinned_run([](Machine& m) {
+    const GridArray<long long> src = formula_square(100);
+    GridArray<Seg<long long>> a(src.region(), Layout::kZOrder, src.size());
+    for (index_t i = 0; i < a.size(); ++i) {
+      a[i] = Cell<Seg<long long>>{
+          Seg<long long>{src[i].value, i % 7 == 0 || i % 11 == 3},
+          src[i].clock};
+    }
+    (void)segmented_scan(m, a, Plus{});
+  });
+  EXPECT_EQ(segmented.report, R"(
+total: energy=430 messages=239 ops=328 depth=20 distance=51
+  scan: energy=430 messages=239 ops=328 depth=20 distance=51
+  segmented_scan: energy=430 messages=239 ops=328 depth=20 distance=51
+)");
+  EXPECT_EQ(segmented.digest, 0x51D4586F4DC2BB03ULL);
+}
+
+TEST(ScanPinned, TreeScan1d) {
+  const PinnedRun row8 = pinned_run([](Machine& m) {
+    (void)tree_scan_1d(m,
+                       with_formula_cells(GridArray<long long>(
+                           Rect{0, 0, 1, 8}, Layout::kRowMajor, 5)),
+                       Plus{});
+  });
+  EXPECT_EQ(row8.report, R"(
+total: energy=21 messages=15 ops=15 depth=9 distance=16
+  tree_scan_1d: energy=21 messages=15 ops=15 depth=9 distance=16
+)");
+  EXPECT_EQ(row8.digest, 0x823311865FEB6A06ULL);
+
+  const PinnedRun row1024 = pinned_run([](Machine& m) {
+    (void)tree_scan_1d(m,
+                       with_formula_cells(GridArray<long long>(
+                           Rect{0, 0, 1, 1024}, Layout::kRowMajor, 1000)),
+                       Plus{});
+  });
+  EXPECT_EQ(row1024.report, R"(
+total: energy=11097 messages=3490 ops=3988 depth=33 distance=1519
+  tree_scan_1d: energy=11097 messages=3490 ops=3988 depth=33 distance=1519
+)");
+  EXPECT_EQ(row1024.digest, 0x1F98F60960ECED2FULL);
 }
 
 // ---- segment_heads ---------------------------------------------------------
