@@ -8,9 +8,10 @@
 // the stream one scalar call per event (send, op, observe, birth, death,
 // begin_phase, end_phase, reset) into a fresh Machine; every batch arrives
 // entry by entry, so the replay is the scalar reference. Each run has its
-// own ConformanceChecker plus a CongestionMap (so the batched on_send_bulk
-// link decomposition is proven byte-identical to the per-message one, link
-// by link), and the two runs are compared field by field.
+// own ConformanceChecker plus a CongestionMap (so each sink's batched
+// on_send_bulk — the checker's batch checks, the map's link decomposition
+// — is proven equal to its per-message hooks, the links link by link),
+// and the two runs are compared field by field.
 // tests/test_bulk_equivalence.cpp drives every Table-1 algorithm through
 // it.
 #pragma once

@@ -374,13 +374,13 @@ std::string CongestionMap::heatmap(index_t max_side) const {
 // LoadMap
 
 void LoadMap::on_message(Coord from, Coord to, index_t distance) {
-  ++sent_[from];
+  ++sent_.at(from);
   links_.on_message(from, to, distance);
 }
 
 void LoadMap::on_send_bulk(std::span<const MessageEvent> batch) {
   for (const MessageEvent& e : batch) {
-    if (e.distance != 0) ++sent_[e.from];
+    if (e.distance != 0) ++sent_.at(e.from);
   }
   links_.on_send_bulk(batch);
 }
@@ -390,8 +390,8 @@ void LoadMap::on_phase_enter(PhaseId id) { links_.on_phase_enter(id); }
 void LoadMap::on_phase_exit(PhaseId id) { links_.on_phase_exit(id); }
 
 index_t LoadMap::load_at(Coord c) const {
-  const auto it = sent_.find(c);
-  index_t load = it == sent_.end() ? 0 : it->second;
+  const index_t* sent = sent_.find(c);
+  index_t load = sent == nullptr ? 0 : *sent;
   // Traversals into c arrive over its four inbound links.
   for (const Coord from : {Coord{c.row - 1, c.col}, Coord{c.row + 1, c.col},
                            Coord{c.row, c.col - 1}, Coord{c.row, c.col + 1}}) {
@@ -406,8 +406,10 @@ LoadMap::Cells LoadMap::cells() const {
   // allocating them does not dominate a report export.
   std::pmr::monotonic_buffer_resource pool;
   std::pmr::unordered_map<Coord, index_t, CoordHash> load(&pool);
-  load.reserve(sent_.size());
-  load.insert(sent_.begin(), sent_.end());
+  std::size_t senders = 0;
+  sent_.for_each([&](Coord, index_t) { ++senders; });
+  load.reserve(senders);
+  sent_.for_each([&](Coord c, index_t n) { load.emplace(c, n); });
   links_.load_.for_each(
       [&](Link link, index_t count) { load[link.to] += count; });
   return Cells({load.begin(), load.end()});

@@ -46,7 +46,8 @@
 // The LoadMap sink shows the same traffic per processor. It walks no
 // route of its own: load(c) = messages sent from c + link traversals into
 // c, so it keeps a CongestionMap plus a per-cell count of sent messages
-// and derives every per-cell query from the two.
+// (in the sink layer's cell table, spatial/cell_pages.hpp) and derives
+// every per-cell query from the two.
 //
 // Exporters: ASCII link and load heatmaps and a summary report here. The
 // Profiler (spatial/profile.hpp) embeds these sinks and renders the rest:
@@ -57,6 +58,7 @@
 // --congestion-heatmap / --load-heatmap flags.
 #pragma once
 
+#include "spatial/cell_pages.hpp"
 #include "spatial/geometry.hpp"
 #include "spatial/phase.hpp"
 #include "spatial/trace.hpp"
@@ -428,7 +430,11 @@ class LoadMap final : public TraceSink {
 
  private:
   CongestionMap links_;
-  std::unordered_map<Coord, index_t, CoordHash> sent_;
+  // Messages sent per cell, in strip pages (spatial/cell_pages.hpp): a
+  // message costs a page-cache probe, and clear() empties the table in
+  // O(1). The table retains 1 KiB per 64-cell strip that sent, for the
+  // sink's life.
+  CellPages<index_t> sent_;
 };
 
 }  // namespace scm

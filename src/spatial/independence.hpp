@@ -64,6 +64,7 @@
 // can assert zero conflicts from artifacts.
 #pragma once
 
+#include "spatial/cell_pages.hpp"
 #include "spatial/clock.hpp"
 #include "spatial/geometry.hpp"
 #include "spatial/trace.hpp"
@@ -156,13 +157,15 @@ class IndependenceChecker final : public TraceSink {
   [[nodiscard]] const IndependenceReport& report() const { return report_; }
 
  private:
-  /// One cell's in/out degree within the batch under analysis. A slot
-  /// with in == out == 0 is empty: a claimed slot counts at least one
-  /// endpoint.
-  struct DegreeSlot {
-    Coord at{};
+  /// One cell's in/out degree within the batch under analysis.
+  struct Degree {
     std::uint32_t in{0};
     std::uint32_t out{0};
+  };
+  /// A cell the batch touched, with its degree in degrees_.
+  struct Touched {
+    Coord at;
+    const Degree* degree;
   };
 
   void record(ViolationKind kind, Coord at, std::string detail);
@@ -174,17 +177,12 @@ class IndependenceChecker final : public TraceSink {
   // a later arrival or birth: the occupancy knowledge behind the sound
   // read-write-hazard rule.
   std::unordered_set<Coord, CoordHash> dead_;
-  // Per-batch degree table: open addressing with linear probing, keyed by
-  // the full Coord (no two cells alias, whatever their range). Its size is
-  // a power of two at least 4x the largest batch seen so far, so with at
-  // most two cells per entry it is at most half full. It is empty between
-  // batches and kept across them: each batch resets only the slots it
-  // claimed (their indices go to touched_, half the table's length), so a
-  // small batch after a large one costs only its own size. Retained
-  // memory, per entry of the largest batch seen: 4-8 slots of 24 bytes
-  // plus 2-4 indices of 8 bytes (768 + 128 KiB for 8192-entry batches).
-  std::vector<DegreeSlot> degrees_;
-  std::vector<std::size_t> touched_;
+  // Per-batch degrees in strip pages (spatial/cell_pages.hpp), cleared in
+  // O(1) at each batch, and the cells the batch touched in first-touch
+  // order. The table retains 1 KiB per 64-cell strip any batch touched,
+  // for the checker's life.
+  CellPages<Degree> degrees_;
+  std::vector<Touched> touched_;
 };
 
 }  // namespace scm

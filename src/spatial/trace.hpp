@@ -67,8 +67,8 @@ class TraceSink {
   /// implementation replays the batch through on_message/on_send, so a
   /// sink that only implements the scalar hooks observes a stream
   /// indistinguishable from per-message charging; sinks with batchable
-  /// counters (Profiler, CongestionMap) override it to amortize the
-  /// dispatch.
+  /// counters (Profiler, CongestionMap) and the ConformanceChecker
+  /// override it to amortize the dispatch.
   virtual void on_send_bulk(std::span<const MessageEvent> batch) {
     for (const MessageEvent& e : batch) {
       if (e.distance == 0) continue;

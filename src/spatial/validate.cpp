@@ -129,7 +129,7 @@ void ConformanceChecker::record(ViolationKind kind, Coord at,
 
 void ConformanceChecker::new_epoch() {
   residency_.clear();
-  dead_.clear();
+  if (!dead_.empty()) dead_.clear();
 }
 
 void ConformanceChecker::on_message(Coord from, Coord to, index_t distance) {
@@ -143,7 +143,7 @@ void ConformanceChecker::on_message(Coord from, Coord to, index_t distance) {
 void ConformanceChecker::on_send(const MessageEvent& e) {
   // Geometry: the reported distance must be the endpoints' Manhattan
   // distance, and zero-length sends are free — never reported.
-  if (e.distance < 1 || e.distance != manhattan(e.from, e.to)) {
+  if (e.distance < 1 || e.distance != manhattan(e.from, e.to)) [[unlikely]] {
     std::ostringstream os;
     os << "reported distance " << e.distance << " for " << e.from << " -> "
        << e.to << " (manhattan " << manhattan(e.from, e.to) << ")";
@@ -153,7 +153,7 @@ void ConformanceChecker::on_send(const MessageEvent& e) {
   // exactly (1 message, distance).
   const Clock expected = e.payload.after_hop(e.distance);
   if (e.payload.depth < 0 || e.payload.distance < 0 ||
-      e.arrival != expected) {
+      e.arrival != expected) [[unlikely]] {
     std::ostringstream os;
     os << "payload (" << e.payload.depth << "," << e.payload.distance
        << ") over distance " << e.distance << " must arrive at ("
@@ -164,7 +164,7 @@ void ConformanceChecker::on_send(const MessageEvent& e) {
   // Arena.
   if (config_.arena) {
     for (const Coord c : {e.from, e.to}) {
-      if (!config_.arena->contains(c)) {
+      if (!config_.arena->contains(c)) [[unlikely]] {
         std::ostringstream os;
         os << "endpoint " << c << " outside arena " << config_.arena->str();
         record(ViolationKind::kIllegalCoordinate, c, os.str());
@@ -173,7 +173,7 @@ void ConformanceChecker::on_send(const MessageEvent& e) {
   }
   // Liveness: a retired cell holds no value to send. Cells never seen
   // before are assumed to hold inputs (inputs pre-reside on the grid).
-  if (dead_.contains(e.from)) {
+  if (!dead_.empty() && dead_.contains(e.from)) [[unlikely]] {
     record(ViolationKind::kSendFromDeadCell, e.from,
            "send from a processor whose value was retired in this epoch");
   }
@@ -188,6 +188,13 @@ void ConformanceChecker::on_send(const MessageEvent& e) {
   log_.push(e);
 }
 
+void ConformanceChecker::on_send_bulk(std::span<const MessageEvent> batch) {
+  // The class is final, so these calls are direct.
+  for (const MessageEvent& e : batch) {
+    if (e.distance != 0) on_send(e);
+  }
+}
+
 void ConformanceChecker::on_birth(Coord at, Clock c) {
   if (c.depth < 0 || c.distance < 0) {
     std::ostringstream os;
@@ -199,20 +206,22 @@ void ConformanceChecker::on_birth(Coord at, Clock c) {
 }
 
 void ConformanceChecker::arrive(Coord at) {
-  dead_.erase(at);
-  index_t& words = residency_[at];
+  if (!dead_.empty()) dead_.erase(at);
+  index_t& words = residency_.at(at);
   ++words;
   report_.peak_residency = std::max(report_.peak_residency, words);
-  if (words == config_.live_word_cap + 1) {
-    std::ostringstream os;
-    os << "processor accumulated " << words
-       << " live words in one epoch (cap " << config_.live_word_cap << ")";
-    record(ViolationKind::kMemoryCapExceeded, at, os.str());
-  }
+  if (words == config_.live_word_cap + 1) [[unlikely]] over_cap(at);
+}
+
+void ConformanceChecker::over_cap(Coord at) {
+  std::ostringstream os;
+  os << "processor accumulated " << config_.live_word_cap + 1
+     << " live words in one epoch (cap " << config_.live_word_cap << ")";
+  record(ViolationKind::kMemoryCapExceeded, at, os.str());
 }
 
 void ConformanceChecker::on_death(Coord at) {
-  index_t& words = residency_[at];
+  index_t& words = residency_.at(at);
   if (words > 0) --words;
   dead_.insert(at);
 }

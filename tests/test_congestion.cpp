@@ -615,6 +615,22 @@ TEST(CongestionReference, SeededStreamMatchesHopByHopLinkWalk) {
   expect_matches_reference(lm, ref_cells);
 }
 
+TEST(CongestionReference, LoadMapClearStartsOver) {
+  LoadMap lm;
+  {
+    ReferenceLoadWalk first;
+    FanoutSink fanout({&lm, &first});
+    drive_reference_stream(fanout);
+    expect_matches_reference(lm, first);
+  }
+  lm.clear();
+  // The same stream again: every count restarts, none carries over.
+  ReferenceLoadWalk ref;
+  FanoutSink fanout({&lm, &ref});
+  drive_reference_stream(fanout);
+  expect_matches_reference(lm, ref);
+}
+
 // ---- Zero-length sends, self-sends, empty batches --------------------------
 
 TEST(CongestionEdge, FreeEventsProduceNoOccupancy) {

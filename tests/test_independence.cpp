@@ -802,6 +802,27 @@ TEST(ViolationReportGoldenDeathTest, ConformanceBannerIsTheFirstLine) {
       "non-monotone-clock in phase \"<top>\" at ");
 }
 
+TEST(ViolationReportGoldenDeathTest, ConformanceBannerFromABatch) {
+  ScopedGlobalTraceSuspension off;
+  ConformanceChecker::Config config;
+  config.strict = true;
+  // The second entry's arrival clock did not advance by its hop; the
+  // third is never checked.
+  const std::vector<MessageEvent> batch{
+      MessageEvent{{0, 0}, {0, 3}, 3, Clock{}, Clock{1, 3}},
+      MessageEvent{{1, 0}, {1, 4}, 4, Clock{5, 10}, Clock{5, 10}},
+      MessageEvent{{2, 0}, {2, 2}, 2, Clock{}, Clock{1, 2}}};
+  EXPECT_DEATH(
+      {
+        ConformanceChecker strict_checker(config);
+        strict_checker.on_send_bulk(batch);
+      },
+      "^SCM_STRICT_MODEL: model conformance violation\n"
+      "non-monotone-clock in phase \"<top>\" at \\(1,4\\): [^\n]*\n"
+      "  message backtrace \\(oldest first\\):\n"
+      "    \\(0,0\\) -> \\(0,3\\) d=3 clock=\\(0,0\\)->\\(1,3\\)\n$");
+}
+
 TEST(ViolationReportGoldenDeathTest, IndependenceBannerIsTheFirstLine) {
   ScopedGlobalTraceSuspension off;
   IndependenceChecker::Config config;
